@@ -1,12 +1,14 @@
 //! Serial and parallel sweep execution over pluggable energy backends.
 
 use core::ops::Range;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use corridor_core::energy::SegmentEnergy;
 use corridor_core::sink::{RowEmitter, RowFormat, RowSink};
 use corridor_core::{AnalyticEvaluator, EnergyStrategy, ScenarioError, SegmentEvaluator};
 use corridor_events::{EventDrivenEvaluator, WakePolicy};
-use corridor_solar::{sizing, DailyLoadProfile};
+use corridor_solar::{sizing, DailyLoadProfile, Location};
 use corridor_traffic::TrackSection;
 use corridor_units::Watts;
 use rayon::prelude::*;
@@ -454,7 +456,7 @@ pub(crate) fn build_pool(workers: Option<usize>) -> Result<rayon::ThreadPool, Sc
 /// optimizer (at each candidate ISD).
 pub(crate) fn size_repeater_pv(
     params: &corridor_core::ScenarioParams,
-    location: &corridor_solar::Location,
+    location: &Location,
     isd: corridor_units::Meters,
 ) -> PvOutcome {
     let section = TrackSection::around(isd / 2.0, params.lp_spacing());
@@ -467,9 +469,15 @@ pub(crate) fn size_repeater_pv(
 /// event-driven trace here, so a padded wake policy's PV system is
 /// sized for the load it actually reports, not the instant-wake
 /// activity floor.
+///
+/// The outcome is a pure function of the climate and the three load
+/// parameters, so it is memoized process-wide on their exact bits (see
+/// [`SizingKey`]). Grids repeat those inputs often: the repeater load
+/// never depends on the conventional ISD, so every cell that differs
+/// only in it sizes an already-sized load.
 pub(crate) fn size_repeater_pv_for_load(
     params: &corridor_core::ScenarioParams,
-    location: &corridor_solar::Location,
+    location: &Location,
     active_h: f64,
 ) -> PvOutcome {
     let lp = params.lp_node();
@@ -480,20 +488,82 @@ pub(crate) fn size_repeater_pv_for_load(
     let day_avg_w = (lp.full_load_power().value() * active_h
         + lp.p_sleep().value() * (day_window_h - active_h).max(0.0))
         / day_window_h;
-    let load =
-        DailyLoadProfile::repeater_profile(lp.p_sleep(), Watts::new(day_avg_w), night_h as usize);
-    match sizing::size_for_zero_downtime(
-        location.clone(),
-        load,
-        &sizing::SizingOptions::paper_default(),
-    ) {
-        Some(fit) => PvOutcome::Sized {
-            pv_wp: fit.pv.peak().value(),
-            battery_wh: fit.battery_capacity.value(),
-            days_full_pct: fit.mean_full_battery_fraction() * 100.0,
-        },
-        None => PvOutcome::Unsolvable,
+    let night_hours = night_h as usize;
+    let key = SizingKey {
+        climate: climate_id(location),
+        p_sleep: lp.p_sleep().value().to_bits(),
+        day_avg_w: day_avg_w.to_bits(),
+        night_hours,
+    };
+    let slot = {
+        let mut memo = sizing_memo().lock().unwrap_or_else(PoisonError::into_inner);
+        memo.entry(key).or_default().clone()
+    };
+    *slot.get_or_init(|| {
+        let load =
+            DailyLoadProfile::repeater_profile(lp.p_sleep(), Watts::new(day_avg_w), night_hours);
+        match sizing::size_for_zero_downtime(
+            location.clone(),
+            load,
+            &sizing::SizingOptions::paper_default(),
+        ) {
+            Some(fit) => PvOutcome::Sized {
+                pv_wp: fit.pv.peak().value(),
+                battery_wh: fit.battery_capacity.value(),
+                days_full_pct: fit.mean_full_battery_fraction() * 100.0,
+            },
+            None => PvOutcome::Unsolvable,
+        }
+    })
+}
+
+/// The exact inputs of one repeater sizing: the interned climate (see
+/// [`climate_id`]) and the bits of the load profile's parameters. Floats
+/// are compared by bits, so distinct loads never alias.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct SizingKey {
+    climate: usize,
+    p_sleep: u64,
+    day_avg_w: u64,
+    night_hours: usize,
+}
+
+/// One slot per key, so a sizing in progress never holds the map lock:
+/// other keys proceed while the first caller of this key fills it, and
+/// racing callers of the same key wait for that one computation.
+type SizingSlot = Arc<OnceLock<PvOutcome>>;
+
+fn sizing_memo() -> &'static Mutex<BTreeMap<SizingKey, SizingSlot>> {
+    static MEMO: OnceLock<Mutex<BTreeMap<SizingKey, SizingSlot>>> = OnceLock::new();
+    MEMO.get_or_init(|| Mutex::new(BTreeMap::new()))
+}
+
+/// A climate's identity: its name plus the bits of its latitude, overcast
+/// persistence and 24 monthly normals — everything the weather years and
+/// the plane-of-array geometry read. Two sites sharing a name but not
+/// their normals get distinct ids.
+type ClimateKey = (&'static str, [u64; 26]);
+
+/// Interns `location` to a small id, assigned in first-seen order.
+fn climate_id(location: &Location) -> usize {
+    static IDS: OnceLock<Mutex<BTreeMap<ClimateKey, usize>>> = OnceLock::new();
+    let mut bits = [0u64; 26];
+    let normals = location
+        .monthly_ghi_kwh_m2_day()
+        .iter()
+        .chain(location.monthly_temp_c());
+    let values = [location.latitude_deg(), location.overcast_persistence()]
+        .into_iter()
+        .chain(normals.copied());
+    for (slot, value) in bits.iter_mut().zip(values) {
+        *slot = value.to_bits();
     }
+    let mut ids = IDS
+        .get_or_init(|| Mutex::new(BTreeMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let next = ids.len();
+    *ids.entry((location.name(), bits)).or_insert(next)
 }
 
 impl Default for SweepEngine {
@@ -625,5 +695,25 @@ mod tests {
         assert_eq!(Evaluator::Analytic.name(), "analytic");
         assert_eq!(Evaluator::event_driven().name(), "event-driven");
         assert_eq!(Evaluator::default(), Evaluator::Analytic);
+    }
+
+    #[test]
+    fn climate_ids_follow_the_normals_not_the_name() {
+        let berlin = climate::berlin();
+        assert_eq!(climate_id(&berlin), climate_id(&climate::berlin()));
+        assert_ne!(climate_id(&berlin), climate_id(&climate::vienna()));
+        let gloomier = berlin.clone().with_overcast_persistence(0.9);
+        assert_eq!(gloomier.name(), berlin.name());
+        assert_ne!(climate_id(&gloomier), climate_id(&berlin));
+        let mut ghi = *berlin.monthly_ghi_kwh_m2_day();
+        ghi[11] += 0.01;
+        let brighter = Location::new(
+            berlin.name(),
+            berlin.latitude_deg(),
+            ghi,
+            *berlin.monthly_temp_c(),
+        )
+        .with_overcast_persistence(berlin.overcast_persistence());
+        assert_ne!(climate_id(&brighter), climate_id(&berlin));
     }
 }

@@ -180,6 +180,56 @@ impl OffGridSystem {
     /// sizing search re-simulating the same weather year through many
     /// PV/battery candidates pays only for the battery stepping.
     pub fn simulate_year(&self, seed: u64) -> YearStats {
+        self.step_year(seed, false).0
+    }
+
+    /// Screens one year for downtime: `None` as soon as an hour leaves
+    /// load unserved, otherwise the year's full statistics.
+    ///
+    /// A downtime-free year runs exactly the arithmetic of
+    /// [`OffGridSystem::simulate_year`], in the same order, so
+    /// `screen_year(seed)` is `Some(simulate_year(seed))` bit for bit when
+    /// that year has zero downtime days, and `None` otherwise — without
+    /// stepping the rest of a year that has already failed.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use corridor_solar::{climate, Battery, DailyLoadProfile, OffGridSystem, PvArray};
+    /// use corridor_units::{WattHours, Watts};
+    ///
+    /// let sized = OffGridSystem::new(
+    ///     climate::madrid(),
+    ///     PvArray::standard_modules(3),
+    ///     Battery::with_capacity(WattHours::new(720.0)),
+    ///     DailyLoadProfile::repeater_paper_default(),
+    /// );
+    /// assert_eq!(sized.screen_year(1), Some(sized.simulate_year(1)));
+    ///
+    /// let overloaded = OffGridSystem::new(
+    ///     climate::berlin(),
+    ///     PvArray::standard_modules(3),
+    ///     Battery::with_capacity(WattHours::new(720.0)),
+    ///     DailyLoadProfile::constant(Watts::new(100.0)),
+    /// );
+    /// assert_eq!(overloaded.screen_year(1), None);
+    /// ```
+    pub fn screen_year(&self, seed: u64) -> Option<YearStats> {
+        let (stats, complete) = self.step_year(seed, true);
+        complete.then_some(stats)
+    }
+
+    /// The hourly battery stepping behind [`OffGridSystem::simulate_year`]
+    /// and [`OffGridSystem::screen_year`]. With `stop_at_unmet`, stepping
+    /// ends after the first hour with unserved load and the returned flag
+    /// is `false`; the stats then cover only the hours stepped. The flag
+    /// is `true` whenever the whole year was stepped.
+    ///
+    /// The minimum state of charge is tracked in watt-hours and divided
+    /// by the capacity once: correctly rounded division by a positive
+    /// constant is monotone, so this equals the minimum of the hourly
+    /// fractions bit for bit.
+    fn step_year(&self, seed: u64, stop_at_unmet: bool) -> (YearStats, bool) {
         let env = crate::environment::cached_year(
             &self.location,
             &self.transposition,
@@ -189,6 +239,8 @@ impl OffGridSystem {
         );
         let mut battery = self.battery;
         battery.reset_full();
+        let capacity = battery.capacity();
+        let mut min_soc = capacity;
 
         let mut stats = YearStats {
             days: 365,
@@ -201,13 +253,12 @@ impl OffGridSystem {
             min_soc_fraction: 1.0,
         };
 
-        for day in 0..365usize {
-            let ambient = env.ambient[day];
-
+        let mut complete = true;
+        let days = env.ambient.iter().zip(env.poa.chunks_exact(24));
+        'year: for (&ambient, poa_day) in days {
             let mut full_today = false;
             let mut unmet_today = false;
-            for hour in 0..24usize {
-                let poa = env.poa[day * 24 + hour];
+            for (hour, &poa) in poa_day.iter().enumerate() {
                 let generation = WattHours::new(self.pv.output_power_w(poa, ambient));
                 let load = self.load.energy_at_hour(hour);
                 let step = battery.step(generation, load);
@@ -217,7 +268,14 @@ impl OffGridSystem {
                 stats.curtailed_energy += step.curtailed;
                 full_today |= step.full_after;
                 unmet_today |= step.unmet.value() > 0.0;
-                stats.min_soc_fraction = stats.min_soc_fraction.min(battery.soc_fraction());
+                let soc = battery.state_of_charge();
+                if soc < min_soc {
+                    min_soc = soc;
+                }
+                if stop_at_unmet && unmet_today {
+                    complete = false;
+                    break 'year;
+                }
             }
             if full_today {
                 stats.full_battery_days += 1;
@@ -226,7 +284,8 @@ impl OffGridSystem {
                 stats.downtime_days += 1;
             }
         }
-        stats
+        stats.min_soc_fraction = min_soc / capacity;
+        (stats, complete)
     }
 
     /// Simulates several seeded years and returns the per-year stats.
@@ -324,5 +383,85 @@ mod tests {
         let stats = system(climate::madrid(), 3, 720.0).simulate_year(1);
         let s = stats.to_string();
         assert!(s.contains("% days full"));
+    }
+
+    /// The year loop as written before screening, kept as the reference
+    /// for the shared stepping routine: indexed environment reads and the
+    /// minimum state of charge taken over hourly fractions.
+    fn reference_year(system: &OffGridSystem, seed: u64) -> YearStats {
+        let env = crate::environment::cached_year(
+            &system.location,
+            &system.transposition,
+            system.variability,
+            system.persistence,
+            seed,
+        );
+        let mut battery = system.battery;
+        battery.reset_full();
+        let mut stats = YearStats {
+            days: 365,
+            full_battery_days: 0,
+            downtime_days: 0,
+            unmet_energy: WattHours::ZERO,
+            curtailed_energy: WattHours::ZERO,
+            generation: WattHours::ZERO,
+            consumption: WattHours::ZERO,
+            min_soc_fraction: 1.0,
+        };
+        for day in 0..365usize {
+            let ambient = env.ambient[day];
+            let mut full_today = false;
+            let mut unmet_today = false;
+            for hour in 0..24usize {
+                let poa = env.poa[day * 24 + hour];
+                let generation = WattHours::new(system.pv.output_power_w(poa, ambient));
+                let load = system.load.energy_at_hour(hour);
+                let step = battery.step(generation, load);
+                stats.generation += generation;
+                stats.consumption += load;
+                stats.unmet_energy += step.unmet;
+                stats.curtailed_energy += step.curtailed;
+                full_today |= step.full_after;
+                unmet_today |= step.unmet.value() > 0.0;
+                stats.min_soc_fraction = stats.min_soc_fraction.min(battery.soc_fraction());
+            }
+            if full_today {
+                stats.full_battery_days += 1;
+            }
+            if unmet_today {
+                stats.downtime_days += 1;
+            }
+        }
+        stats
+    }
+
+    #[test]
+    fn stepping_matches_the_hourly_fraction_reference() {
+        let mut downtime_years = 0;
+        for location in climate::paper_regions() {
+            for (modules, battery_wh) in [(3, 300.0), (3, 720.0), (4, 1440.0)] {
+                let sys = system(location.clone(), modules, battery_wh);
+                for seed in [7, 46] {
+                    let reference = reference_year(&sys, seed);
+                    let simulated = sys.simulate_year(seed);
+                    assert_eq!(simulated, reference, "{} {seed}", location.name());
+                    assert_eq!(
+                        simulated.min_soc_fraction().to_bits(),
+                        reference.min_soc_fraction().to_bits()
+                    );
+                    let screened = sys.screen_year(seed);
+                    if reference.downtime_days() == 0 {
+                        assert_eq!(screened, Some(reference));
+                    } else {
+                        downtime_years += 1;
+                        assert_eq!(screened, None);
+                    }
+                }
+            }
+        }
+        assert!(
+            downtime_years > 0,
+            "some years must exercise the early exit"
+        );
     }
 }

@@ -100,6 +100,14 @@ impl fmt::Display for PvSizing {
 /// fully downtime-free combination wins. Returns `None` if no candidate
 /// passes.
 ///
+/// Each candidate is screened with [`OffGridSystem::screen_year`], which
+/// abandons a seed year at its first hour of unserved load, and the
+/// winner's statistics come from that same screening pass. Within one
+/// search the seed that rejected the previous candidate is tried first
+/// (a winter that sinks 540 Wp / 720 Wh usually sinks 540 Wp / 1440 Wh
+/// too). Acceptance needs every seed, so the order cannot change the
+/// answer; the returned stats are in `options.seeds` order.
+///
 /// # Examples
 ///
 /// ```
@@ -117,6 +125,7 @@ pub fn size_for_zero_downtime(
     load: DailyLoadProfile,
     options: &SizingOptions,
 ) -> Option<PvSizing> {
+    let mut order: Vec<usize> = (0..options.seeds.len()).collect();
     for pv in &options.pv_candidates {
         for &battery_capacity in &options.battery_candidates {
             let system = OffGridSystem::new(
@@ -125,8 +134,7 @@ pub fn size_for_zero_downtime(
                 Battery::with_capacity(battery_capacity),
                 load.clone(),
             );
-            let stats = system.simulate_years(&options.seeds);
-            if stats.iter().all(|s| s.downtime_days() == 0) {
+            if let Some(stats) = screen_candidate(&system, &options.seeds, &mut order) {
                 return Some(PvSizing {
                     pv: *pv,
                     battery_capacity,
@@ -136,6 +144,30 @@ pub fn size_for_zero_downtime(
         }
     }
     None
+}
+
+/// Screens one candidate over every seed year, visiting the seeds in
+/// `order` (indices into `seeds`). Returns the per-seed stats in `seeds`
+/// order if every year is downtime-free. On a rejection, the rejecting
+/// seed moves to the front of `order` so the next candidate meets it
+/// first.
+fn screen_candidate(
+    system: &OffGridSystem,
+    seeds: &[u64],
+    order: &mut [usize],
+) -> Option<Vec<YearStats>> {
+    let mut stats = vec![None; seeds.len()];
+    for at in 0..order.len() {
+        let index = order[at];
+        match system.screen_year(seeds[index]) {
+            Some(year) => stats[index] = Some(year),
+            None => {
+                order[..=at].rotate_right(1);
+                return None;
+            }
+        }
+    }
+    stats.into_iter().collect()
 }
 
 #[cfg(test)]

@@ -157,6 +157,41 @@ proptest! {
         prop_assert!(big.full_battery_days() <= small.full_battery_days());
     }
 
+    /// Screening a year is simulating it, cut short at the first unmet
+    /// hour: `Some(stats)` bit for bit equal to the full simulation when
+    /// that year has zero downtime days, `None` otherwise.
+    #[test]
+    fn screen_year_is_the_downtime_free_simulation(
+        seed in 0u64..1000,
+        region in 0usize..4,
+        modules in 2u32..=4,
+        capacity in 200.0..2000.0f64,
+        sleep in 0.0..8.0f64,
+        day in 2.0..14.0f64,
+        night in 0usize..=12,
+    ) {
+        let location = climate::paper_regions()[region].clone();
+        let load = DailyLoadProfile::repeater_profile(Watts::new(sleep), Watts::new(day), night);
+        let system = OffGridSystem::new(
+            location,
+            PvArray::standard_modules(modules),
+            Battery::with_capacity(WattHours::new(capacity)),
+            load,
+        );
+        let full = system.simulate_year(seed);
+        match system.screen_year(seed) {
+            Some(screened) => {
+                prop_assert_eq!(full.downtime_days(), 0);
+                prop_assert_eq!(screened, full);
+                prop_assert_eq!(
+                    screened.min_soc_fraction().to_bits(),
+                    full.min_soc_fraction().to_bits()
+                );
+            }
+            None => prop_assert!(full.downtime_days() > 0, "{full}"),
+        }
+    }
+
     /// month_of_doy is consistent with cumulative month lengths.
     #[test]
     fn month_of_doy_consistent(d in 1u32..=365) {
