@@ -5,10 +5,12 @@
 //! deterministic timetables. This crate models the corridor in the time
 //! domain:
 //!
-//! * an [`EventQueue`] of train arrivals/departures per
-//!   [`TrackSection`](corridor_traffic::TrackSection), with barrier
-//!   trips, wake completions and drain expiries interleaved
-//!   deterministically;
+//! * a per-node event loop over train arrivals/departures on each
+//!   node's [`TrackSection`](corridor_traffic::TrackSection), with
+//!   barrier trips, wake completions and drain expiries ([`EventKind`])
+//!   interleaved deterministically — no node reads or schedules another
+//!   node's events, so each node's day replays on its own, and nodes
+//!   with identical sections share one replay;
 //! * a per-node wake state machine ([`NodeState`]: asleep → waking →
 //!   active → drain) parameterized by a [`WakePolicy`] (barrier lead,
 //!   wake latency, guard interval);
@@ -70,7 +72,7 @@ mod wake;
 pub use evaluator::EventDrivenEvaluator;
 pub use network::{Leg, NetworkDaySimulator, TrainItinerary};
 pub use node::{segment_nodes, NodeKind, NodeSpec};
-pub use queue::{Event, EventKind, EventQueue};
+pub use queue::EventKind;
 pub use replicate::SegmentReplicator;
 pub use report::{NodeReport, SimReport};
 pub use sim::CorridorSimulator;

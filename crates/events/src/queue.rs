@@ -1,19 +1,9 @@
-//! The event queue: a deterministic calendar/bucket min-queue of
-//! simulation events.
+//! The event vocabulary of the per-node event loops.
 //!
-//! The queue is arena-allocated and index-keyed: events pushed before the
-//! first pop accumulate in a staging arena; the first pop *seals* the
-//! arena with a counting-sort distribution into fine time buckets
-//! followed by one insertion pass over the then nearly-sorted arena,
-//! after which popping is a cursor increment over contiguous memory. Events scheduled *after* sealing —
-//! the simulator's wake completions and drain expiries — go to a small
-//! sorted overflow lane; a pop returns whichever of the arena cursor and
-//! the overflow front is earlier. The pop order is exactly the total order of
-//! the previous binary-heap implementation (time, kind priority, node,
-//! insertion sequence), which the differential suite in
-//! `tests/queue_differential.rs` pins property-by-property.
-
-use corridor_units::Seconds;
+//! The simulator replays each node's day on its own (see
+//! [`CorridorSimulator`](crate::CorridorSimulator)); every event it
+//! handles is one of these kinds, ordered at equal timestamps by
+//! [`EventKind::rank`].
 
 /// What fires (or is scheduled to fire) at a node.
 ///
@@ -40,7 +30,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Processing priority at equal timestamps (lower first).
-    fn rank(self) -> u8 {
+    pub(crate) fn rank(self) -> u8 {
         match self {
             EventKind::BarrierTrip => 0,
             EventKind::WakeComplete(_) => 1,
@@ -51,434 +41,23 @@ impl EventKind {
     }
 }
 
-/// One scheduled simulation event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Event {
-    /// When the event fires (may lie outside the simulation horizon; the
-    /// energy integrator clamps).
-    pub time: Seconds,
-    /// Index of the node it concerns.
-    pub node: usize,
-    /// What fires.
-    pub kind: EventKind,
-}
-
-/// An arena entry: the full sort key packed into one integer, plus the
-/// two event fields the key cannot reproduce. 32 bytes per entry keeps
-/// the seal's sort passes memory-lean, and one integer compare on the
-/// hot paths replaces the float-then-field chain the binary heap used.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    /// The (time, kind priority, node, insertion sequence) comparison
-    /// chain packed into a single integer at push time: sign-flipped
-    /// time bits in the high 64 (unsigned order equals float order for
-    /// non-NaN times), then rank, node and sequence below.
-    key: u128,
-    /// Raw bits of the event time (the key folds `-0.0` onto `+0.0`;
-    /// the popped event must carry the exact pushed time).
-    time_bits: u64,
-    /// The wake/drain sequence payload for tagged kinds, zero otherwise
-    /// (the kind itself is recovered from the rank inside the key).
-    payload: u64,
-}
-
-impl Entry {
-    const SEQ_BITS: u32 = 32;
-    const NODE_BITS: u32 = 28;
-    const NODE_MASK: u128 = (1 << Self::NODE_BITS) - 1;
-
-    fn new(event: Event, seq: u64) -> Self {
-        debug_assert!(!event.time.value().is_nan(), "event times are never NaN");
-        assert!(
-            event.node < (1 << Self::NODE_BITS) && seq < (1 << Self::SEQ_BITS),
-            "node index or event count exceeds the packed-key range"
-        );
-        // `+ 0.0` folds `-0.0` onto `+0.0`, so the packed key ties
-        // exactly where the float comparison tied (the tiebreak then
-        // falls to rank, node and insertion order as before)
-        let bits = (event.time.value() + 0.0).to_bits();
-        let time_key = if bits >> 63 == 1 {
-            !bits
-        } else {
-            bits | (1 << 63)
-        };
-        let key = ((time_key as u128) << 64)
-            | ((event.kind.rank() as u128) << (Self::NODE_BITS + Self::SEQ_BITS))
-            | ((event.node as u128) << Self::SEQ_BITS)
-            | (seq as u128);
-        let payload = match event.kind {
-            EventKind::WakeComplete(p) | EventKind::DrainExpire(p) => p,
-            _ => 0,
-        };
-        Entry {
-            key,
-            time_bits: event.time.value().to_bits(),
-            payload,
-        }
-    }
-
-    /// Reassembles the pushed event from the packed representation.
-    fn event(&self) -> Event {
-        let rank = (self.key >> (Self::NODE_BITS + Self::SEQ_BITS)) as u8 & 0x0f;
-        let kind = match rank {
-            0 => EventKind::BarrierTrip,
-            1 => EventKind::WakeComplete(self.payload),
-            2 => EventKind::TrainEnter,
-            3 => EventKind::TrainExit,
-            _ => EventKind::DrainExpire(self.payload),
-        };
-        Event {
-            time: Seconds::new(f64::from_bits(self.time_bits)),
-            node: ((self.key >> Self::SEQ_BITS) & Self::NODE_MASK) as usize,
-            kind,
-        }
-    }
-
-    /// Exact identity: the key (time up to `-0.0` aliasing, rank, node,
-    /// sequence), the raw time bits, and the kind payload.
-    fn same_bits(&self, other: &Self) -> bool {
-        self.key == other.key && self.time_bits == other.time_bits && self.payload == other.payload
-    }
-}
-
-/// A deterministic min-queue of [`Event`]s (calendar/bucket layout).
-///
-/// Pushes before the first pop are O(1) appends into a staging arena;
-/// the first pop sorts the arena once (counting-sort into fine time
-/// buckets, then one insertion pass) and subsequent pops walk a cursor.
-/// Pushes after the first pop — the simulator's dynamically scheduled
-/// wake/drain events — go to a small sorted overflow lane that the pop
-/// merges with the arena cursor. All allocations are retained across
-/// [`EventQueue::clear`], so a reused queue replays a new event
-/// population without touching the allocator.
-///
-/// # Examples
-///
-/// ```
-/// use corridor_events::{Event, EventKind, EventQueue};
-/// use corridor_units::Seconds;
-///
-/// let mut q = EventQueue::new();
-/// q.push(Event { time: Seconds::new(5.0), node: 0, kind: EventKind::TrainExit });
-/// q.push(Event { time: Seconds::new(5.0), node: 0, kind: EventKind::TrainEnter });
-/// q.push(Event { time: Seconds::new(1.0), node: 1, kind: EventKind::BarrierTrip });
-/// assert_eq!(q.pop().unwrap().time, Seconds::new(1.0));
-/// // at equal times the entry processes before the exit
-/// assert_eq!(q.pop().unwrap().kind, EventKind::TrainEnter);
-/// ```
-#[derive(Debug)]
-pub struct EventQueue {
-    /// Staging arena: events pushed before the first pop, unsorted.
-    staged: Vec<Entry>,
-    /// The previous seal's staging population, kept to detect replays: a
-    /// replicator re-running the same day pushes a bit-identical static
-    /// population, and the sealed arena can then be rewound instead of
-    /// re-sorted.
-    prev_staged: Vec<Entry>,
-    /// Sealed arena: all of `prev_staged`, bucket-distributed and sorted.
-    arena: Vec<Entry>,
-    /// Bucket boundaries into `arena` (`offsets[b]..offsets[b + 1]`).
-    offsets: Vec<u32>,
-    /// Per-bucket write cursors, reused across seals.
-    bucket_cursors: Vec<u32>,
-    /// Per-entry bucket ids from the counting pass, reused by the
-    /// scatter pass so the bucket math runs once per entry.
-    bucket_ids: Vec<u32>,
-    /// Next arena entry to pop.
-    cursor: usize,
-    /// Whether the staging arena has been sealed (first pop happened).
-    sealed: bool,
-    /// Events scheduled after sealing (dynamic wake/drain events), kept
-    /// sorted ascending by key from `overflow_head` on. Dynamic
-    /// populations are tiny (pending wake/drain timers, a handful per
-    /// node at most) and a freshly scheduled timer usually fires after
-    /// every pending one, so the common insert is an O(1) append — a
-    /// sorted vector beats a binary heap here.
-    overflow: Vec<Entry>,
-    /// First pending overflow entry (earlier ones were popped).
-    overflow_head: usize,
-    /// Smallest staged event time, tracked at push time.
-    staged_min: f64,
-    /// Largest staged event time, tracked at push time.
-    staged_max: f64,
-    next_seq: u64,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue {
-            staged: Vec::new(),
-            prev_staged: Vec::new(),
-            arena: Vec::new(),
-            offsets: Vec::new(),
-            bucket_cursors: Vec::new(),
-            bucket_ids: Vec::new(),
-            cursor: 0,
-            sealed: false,
-            overflow: Vec::new(),
-            overflow_head: 0,
-            staged_min: f64::INFINITY,
-            staged_max: f64::NEG_INFINITY,
-            next_seq: 0,
-        }
-    }
-}
-
-impl EventQueue {
-    /// Average staged events per calendar bucket: fine buckets keep the
-    /// arena so close to sorted after the scatter that the final global
-    /// insertion pass moves almost nothing (bucket bookkeeping is two
-    /// `u32` arrays, so finer buckets cost little).
-    const EVENTS_PER_BUCKET: usize = 2;
-
-    /// An empty queue.
-    pub fn new() -> Self {
-        EventQueue::default()
-    }
-
-    /// Schedules an event.
-    pub fn push(&mut self, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let entry = Entry::new(event, seq);
-        if self.sealed {
-            // the overflow stays sorted ascending from `overflow_head`; a
-            // freshly scheduled timer usually fires after every pending
-            // one, so the common case is a plain append
-            let belongs_at_end = match self.overflow.last() {
-                Some(last) => last.key <= entry.key,
-                None => true,
-            };
-            if belongs_at_end {
-                self.overflow.push(entry);
-            } else {
-                let pending = &self.overflow[self.overflow_head..];
-                let at = self.overflow_head + pending.partition_point(|e| e.key < entry.key);
-                self.overflow.insert(at, entry);
-            }
-        } else {
-            let t = event.time.value();
-            self.staged_min = self.staged_min.min(t);
-            self.staged_max = self.staged_max.max(t);
-            self.staged.push(entry);
-        }
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<Event> {
-        if !self.sealed {
-            self.seal();
-        }
-        if self.overflow_head == self.overflow.len() {
-            // no pending dynamic events: straight off the arena cursor
-            let entry = self.arena.get(self.cursor)?;
-            self.cursor += 1;
-            return Some(entry.event());
-        }
-        let front = self.overflow[self.overflow_head];
-        match self.arena.get(self.cursor) {
-            Some(entry) if entry.key < front.key => {
-                let event = entry.event();
-                self.cursor += 1;
-                Some(event)
-            }
-            _ => {
-                self.advance_overflow();
-                Some(front.event())
-            }
-        }
-    }
-
-    /// Consumes the overflow front; compacts the lane back to empty when
-    /// the last pending entry goes, so storage never creeps.
-    fn advance_overflow(&mut self) {
-        self.overflow_head += 1;
-        if self.overflow_head == self.overflow.len() {
-            self.overflow.clear();
-            self.overflow_head = 0;
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        let arena_pending = if self.sealed {
-            self.arena.len() - self.cursor
-        } else {
-            0
-        };
-        self.staged.len() + arena_pending + (self.overflow.len() - self.overflow_head)
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Empties the queue and rewinds it to the staging phase, retaining
-    /// every internal allocation — the reuse hook for replicators that
-    /// replay many event populations through one queue arena.
-    pub fn clear(&mut self) {
-        // `prev_staged` and the sealed `arena` survive on purpose: they
-        // are the replay cache the next seal checks against
-        self.staged.clear();
-        self.overflow.clear();
-        self.overflow_head = 0;
-        self.cursor = 0;
-        self.sealed = false;
-        self.staged_min = f64::INFINITY;
-        self.staged_max = f64::NEG_INFINITY;
-        self.next_seq = 0;
-    }
-
-    /// Seals the staging arena: counting-sort the staged events into
-    /// fine time buckets, then finish with one insertion pass over the
-    /// nearly-sorted arena. After this the arena is globally key-sorted
-    /// (equal times always land in the same bucket, and bucket index is
-    /// monotone in time).
-    fn seal(&mut self) {
-        self.sealed = true;
-        self.cursor = 0;
-        let n = self.staged.len();
-        if n == 0 {
-            // an empty population invalidates the replay cache: the
-            // arena must not serve stale entries
-            self.arena.clear();
-            self.prev_staged.clear();
-            self.offsets.clear();
-            self.staged_min = f64::INFINITY;
-            self.staged_max = f64::NEG_INFINITY;
-            return;
-        }
-        if self.is_replay() {
-            // bit-identical population to the previous seal: the sorted
-            // arena is already correct, rewinding the cursor suffices
-            self.staged.clear();
-            self.staged_min = f64::INFINITY;
-            self.staged_max = f64::NEG_INFINITY;
-            return;
-        }
-
-        // min/max were tracked at push time, saving a full arena scan
-        let min = self.staged_min;
-        let span = self.staged_max - min;
-        self.staged_min = f64::INFINITY;
-        self.staged_max = f64::NEG_INFINITY;
-        // the new population becomes the replay reference; the old one's
-        // allocation is recycled as the next staging buffer
-        core::mem::swap(&mut self.staged, &mut self.prev_staged);
-        self.staged.clear();
-        let staged = &self.prev_staged;
-
-        let wanted = (n / Self::EVENTS_PER_BUCKET).max(1);
-        let (buckets, inv_width) = if span > 0.0 && wanted > 1 {
-            (wanted, wanted as f64 / span)
-        } else {
-            (1, 0.0)
-        };
-        let bucket_of = |t: f64| (((t - min) * inv_width) as usize).min(buckets - 1);
-
-        // pass 1: bucket occupancy counts -> prefix-sum offsets
-        self.offsets.clear();
-        self.offsets.resize(buckets + 1, 0);
-        self.bucket_ids.clear();
-        for entry in staged {
-            let b = bucket_of(f64::from_bits(entry.time_bits));
-            self.bucket_ids.push(b as u32);
-            self.offsets[b + 1] += 1;
-        }
-        for b in 1..=buckets {
-            self.offsets[b] += self.offsets[b - 1];
-        }
-
-        // pass 2: place each entry at its bucket's write cursor
-        self.bucket_cursors.clear();
-        self.bucket_cursors
-            .extend_from_slice(&self.offsets[..buckets]);
-        self.arena.clear();
-        self.arena.resize(n, staged[0]);
-        for (entry, &b) in staged.iter().zip(&self.bucket_ids) {
-            self.arena[self.bucket_cursors[b as usize] as usize] = *entry;
-            self.bucket_cursors[b as usize] += 1;
-        }
-
-        // pass 3: one global insertion pass. The scatter left every
-        // entry inside its (tiny) bucket region and bucket index is
-        // monotone in time, so the arena is nearly sorted: displacement
-        // is bounded by the bucket occupancy, and a single
-        // almost-no-op sweep beats per-bucket sub-sorts (whose slice
-        // bookkeeping dominated at calendar-bucket sizes).
-        insertion_sort_by_key(&mut self.arena);
-    }
-
-    /// True if the staged population is bit-for-bit the one the arena
-    /// was last sealed from (times compared as raw bits, so `-0.0` vs
-    /// `+0.0` never alias). Replays re-use the sorted arena; a fresh
-    /// population early-exits at the first mismatching entry.
-    fn is_replay(&self) -> bool {
-        !self.arena.is_empty()
-            && self.staged.len() == self.prev_staged.len()
-            && self
-                .staged
-                .iter()
-                .zip(&self.prev_staged)
-                .all(|(a, b)| a.same_bits(b))
-    }
-}
-
-/// Insertion sort by the packed entry key, shifting a hole instead of
-/// swapping — on the nearly-sorted post-scatter arena the common case
-/// is one compare and no writes per element.
-fn insertion_sort_by_key(slice: &mut [Entry]) {
-    for i in 1..slice.len() {
-        if slice[i - 1].key > slice[i].key {
-            let tmp = slice[i];
-            let mut j = i;
-            while j > 0 && slice[j - 1].key > tmp.key {
-                slice[j] = slice[j - 1];
-                j -= 1;
-            }
-            slice[j] = tmp;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ev(time: f64, node: usize, kind: EventKind) -> Event {
-        Event {
-            time: Seconds::new(time),
-            node,
-            kind,
-        }
-    }
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        for t in [9.0, 3.0, 7.0, 1.0, 5.0] {
-            q.push(ev(t, 0, EventKind::TrainEnter));
-        }
-        let mut last = f64::NEG_INFINITY;
-        while let Some(event) = q.pop() {
-            assert!(event.time.value() >= last);
-            last = event.time.value();
-        }
-    }
-
     #[test]
     fn equal_times_follow_kind_priority() {
-        let mut q = EventQueue::new();
-        q.push(ev(10.0, 0, EventKind::DrainExpire(1)));
-        q.push(ev(10.0, 0, EventKind::TrainExit));
-        q.push(ev(10.0, 0, EventKind::TrainEnter));
-        q.push(ev(10.0, 0, EventKind::WakeComplete(1)));
-        q.push(ev(10.0, 0, EventKind::BarrierTrip));
-        let kinds: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
+        let mut kinds = [
+            EventKind::DrainExpire(1),
+            EventKind::TrainExit,
+            EventKind::TrainEnter,
+            EventKind::WakeComplete(1),
+            EventKind::BarrierTrip,
+        ];
+        kinds.sort_by_key(|kind| kind.rank());
         assert_eq!(
             kinds,
-            vec![
+            [
                 EventKind::BarrierTrip,
                 EventKind::WakeComplete(1),
                 EventKind::TrainEnter,
@@ -486,166 +65,5 @@ mod tests {
                 EventKind::DrainExpire(1),
             ]
         );
-    }
-
-    #[test]
-    fn equal_time_and_kind_order_by_node_then_insertion() {
-        let mut q = EventQueue::new();
-        q.push(ev(4.0, 2, EventKind::TrainEnter));
-        q.push(ev(4.0, 1, EventKind::TrainEnter));
-        q.push(ev(4.0, 1, EventKind::TrainEnter));
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|e| e.node).collect();
-        assert_eq!(order, vec![1, 1, 2]);
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(ev(0.0, 0, EventKind::BarrierTrip));
-        assert_eq!(q.len(), 1);
-        let _ = q.pop();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
-    }
-
-    /// Every ordered pair of event kinds at one timestamp: the pop order
-    /// must follow the documented kind priority, falling back to
-    /// insertion order when the kinds tie. This pins the tie-break
-    /// explicitly (it used to be exercised only implicitly through the
-    /// state machine) so the calendar-queue rewrite provably preserves
-    /// it.
-    #[test]
-    fn all_kind_pairs_at_equal_timestamps() {
-        let kinds = [
-            EventKind::BarrierTrip,
-            EventKind::WakeComplete(7),
-            EventKind::TrainEnter,
-            EventKind::TrainExit,
-            EventKind::DrainExpire(9),
-        ];
-        for &first_in in &kinds {
-            for &second_in in &kinds {
-                let mut q = EventQueue::new();
-                q.push(ev(50.0, 3, first_in));
-                q.push(ev(50.0, 3, second_in));
-                let got = [q.pop().unwrap().kind, q.pop().unwrap().kind];
-                let expect = if first_in.rank() <= second_in.rank() {
-                    [first_in, second_in]
-                } else {
-                    [second_in, first_in]
-                };
-                assert_eq!(got, expect, "pushed {first_in:?} then {second_in:?}");
-                assert!(q.pop().is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn push_after_pop_lands_in_pending_order() {
-        let mut q = EventQueue::new();
-        q.push(ev(10.0, 0, EventKind::TrainEnter));
-        q.push(ev(20.0, 0, EventKind::TrainEnter));
-        q.push(ev(30.0, 0, EventKind::TrainEnter));
-        assert_eq!(q.pop().unwrap().time, Seconds::new(10.0));
-        // dynamic push between pending arena events
-        q.push(ev(25.0, 0, EventKind::WakeComplete(1)));
-        // and one in the "past" relative to popped history: it is still
-        // the minimum of the *pending* set, so it pops next
-        q.push(ev(5.0, 0, EventKind::DrainExpire(1)));
-        let times: Vec<f64> = std::iter::from_fn(|| q.pop())
-            .map(|e| e.time.value())
-            .collect();
-        assert_eq!(times, vec![5.0, 20.0, 25.0, 30.0]);
-    }
-
-    #[test]
-    fn equal_times_all_in_one_bucket() {
-        // a degenerate population (zero time span) must still seal and
-        // tie-break correctly through the single-bucket path
-        let mut q = EventQueue::new();
-        for node in (0..100).rev() {
-            q.push(ev(42.0, node, EventKind::TrainEnter));
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|e| e.node).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn negative_times_are_ordered() {
-        // barrier trips can fire before t = 0 (enter - lead)
-        let mut q = EventQueue::new();
-        q.push(ev(3.0, 0, EventKind::TrainEnter));
-        q.push(ev(-2.0, 0, EventKind::BarrierTrip));
-        q.push(ev(0.0, 0, EventKind::BarrierTrip));
-        let times: Vec<f64> = std::iter::from_fn(|| q.pop())
-            .map(|e| e.time.value())
-            .collect();
-        assert_eq!(times, vec![-2.0, 0.0, 3.0]);
-    }
-
-    #[test]
-    fn replaying_the_same_population_reuses_the_sorted_arena() {
-        let mut q = EventQueue::new();
-        let day = [
-            ev(9.0, 2, EventKind::TrainExit),
-            ev(3.0, 0, EventKind::BarrierTrip),
-            ev(3.0, 0, EventKind::TrainEnter),
-            ev(7.0, 1, EventKind::TrainEnter),
-        ];
-        let drain = |q: &mut EventQueue| -> Vec<(f64, usize)> {
-            std::iter::from_fn(|| q.pop())
-                .map(|e| (e.time.value(), e.node))
-                .collect()
-        };
-        for event in day {
-            q.push(event);
-        }
-        let first = drain(&mut q);
-        // replay: identical population through the cleared queue
-        q.clear();
-        for event in day {
-            q.push(event);
-        }
-        assert_eq!(drain(&mut q), first);
-        // then a different population must re-sort, not replay
-        q.clear();
-        q.push(ev(6.0, 5, EventKind::TrainEnter));
-        q.push(ev(2.0, 4, EventKind::TrainEnter));
-        assert_eq!(drain(&mut q), vec![(2.0, 4), (6.0, 5)]);
-        // and an empty population pops nothing despite the cached arena
-        q.clear();
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn negative_zero_is_not_aliased_by_the_replay_cache() {
-        let mut q = EventQueue::new();
-        q.push(ev(0.0, 0, EventKind::TrainEnter));
-        assert_eq!(q.pop().unwrap().time.value().to_bits(), 0.0f64.to_bits());
-        q.clear();
-        q.push(ev(-0.0, 0, EventKind::TrainEnter));
-        // -0.0 == 0.0, but the replay check compares bits: the popped
-        // event carries the newly pushed sign
-        assert_eq!(q.pop().unwrap().time.value().to_bits(), (-0.0f64).to_bits());
-    }
-
-    #[test]
-    fn clear_rewinds_to_staging_and_reuses_the_arena() {
-        let mut q = EventQueue::new();
-        for t in [5.0, 1.0, 3.0] {
-            q.push(ev(t, 0, EventKind::TrainEnter));
-        }
-        assert_eq!(q.pop().unwrap().time, Seconds::new(1.0));
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
-        // a cleared queue behaves exactly like a fresh one
-        q.push(ev(8.0, 1, EventKind::TrainExit));
-        q.push(ev(2.0, 2, EventKind::TrainEnter));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().unwrap().time, Seconds::new(2.0));
-        assert_eq!(q.pop().unwrap().time, Seconds::new(8.0));
-        assert!(q.pop().is_none());
     }
 }

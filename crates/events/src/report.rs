@@ -94,8 +94,9 @@ impl SimReport {
         self.horizon
     }
 
-    /// Number of events the queue processed (the denominator of the
-    /// events/s throughput metric).
+    /// Number of events the per-node loops handled (the denominator of
+    /// the events/s throughput metric). A node that shares its twin's
+    /// simulation counts that simulation's events again.
     pub fn events_processed(&self) -> usize {
         self.events
     }

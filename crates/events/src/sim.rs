@@ -1,30 +1,119 @@
 //! The discrete-event corridor simulator.
 
-use std::cell::RefCell;
-
 use corridor_traffic::{TrackSection, TrainPass};
 use corridor_units::{Hours, Meters, Seconds};
 
-use crate::{Event, EventKind, EventQueue, NodeSpec, SimReport, StateTrace, WakePolicy};
-use crate::{NodeReport, NodeState};
+use crate::{EventKind, NodeReport, NodeSpec, NodeState, SimReport, StateTrace, WakePolicy};
 
-/// Reusable per-thread simulation arena: the event queue (staging +
-/// calendar buckets + overflow heap) and the per-node runtime vector.
-///
-/// Both are cleared, never dropped, between runs — a replicated
-/// simulation ([`crate::SegmentReplicator`] replaying hundreds of seeded
-/// days, or a Monte-Carlo worker pulling cell-days off the pool) reuses
-/// one arena per worker thread and stops paying the allocator on its hot
-/// path entirely.
-#[derive(Default)]
-struct SimScratch {
-    queue: EventQueue,
-    runtimes: Vec<NodeRuntime>,
+/// A static event of one node (barrier trip, train entry or exit): its
+/// exact time plus the folded sort key of that time.
+#[derive(Debug, Clone, Copy)]
+struct Stamp {
+    key: u64,
+    time: Seconds,
 }
 
-thread_local! {
-    /// One simulation arena per thread, shared by every simulator on it.
-    static SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::default());
+impl Stamp {
+    /// Ends every static stream, so each stream always has a head: no
+    /// event time folds to `u64::MAX` (that would take a NaN).
+    const END: Stamp = Stamp {
+        key: u64::MAX,
+        time: Seconds::ZERO,
+    };
+
+    fn new(time: Seconds) -> Self {
+        Stamp {
+            key: time_key(time),
+            time,
+        }
+    }
+}
+
+/// The sort key of an event time: the float's bits mapped so unsigned
+/// order equals float order for non-NaN times. `+ 0.0` folds `-0.0` onto
+/// `+0.0`, so keys tie exactly where the float comparison ties.
+fn time_key(time: Seconds) -> u64 {
+    debug_assert!(!time.value().is_nan(), "event times are never NaN");
+    let bits = (time.value() + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
+}
+
+/// The kinds of the barrier, entry and exit streams, in rank order.
+const STATIC_KINDS: [EventKind; 3] = [
+    EventKind::BarrierTrip,
+    EventKind::TrainEnter,
+    EventKind::TrainExit,
+];
+
+/// A scheduled wake completion or drain expiry.
+#[derive(Debug, Clone, Copy)]
+struct Timer {
+    key: u64,
+    time: Seconds,
+    kind: EventKind,
+}
+
+impl Timer {
+    fn order(&self) -> (u64, u8) {
+        (self.key, self.kind.rank())
+    }
+}
+
+/// One node's pending timers, ascending by (time key, kind rank) with
+/// ties in scheduling order. A node has a handful pending at most and a
+/// new timer usually fires after all of them, so the common insert is an
+/// append.
+#[derive(Debug, Default)]
+struct TimerLane {
+    pending: Vec<Timer>,
+    /// First pending timer (earlier ones have fired).
+    head: usize,
+}
+
+impl TimerLane {
+    fn schedule(&mut self, time: Seconds, kind: EventKind) {
+        let timer = Timer {
+            key: time_key(time),
+            time,
+            kind,
+        };
+        let order = timer.order();
+        match self.pending.last() {
+            Some(last) if last.order() > order => {
+                let at =
+                    self.head + self.pending[self.head..].partition_point(|t| t.order() <= order);
+                self.pending.insert(at, timer);
+            }
+            _ => self.pending.push(timer),
+        }
+    }
+
+    fn front(&self) -> Option<Timer> {
+        self.pending.get(self.head).copied()
+    }
+
+    /// Consumes the front timer; empties the lane once the last pending
+    /// timer goes, so storage never creeps.
+    fn advance(&mut self) {
+        self.head += 1;
+        if self.head == self.pending.len() {
+            self.pending.clear();
+            self.head = 0;
+        }
+    }
+}
+
+/// The node loop's buffers, reused by every node of one call.
+#[derive(Default)]
+struct NodeScratch {
+    barriers: Vec<Stamp>,
+    enters: Vec<Stamp>,
+    exits: Vec<Stamp>,
+    timers: TimerLane,
 }
 
 /// Per-node runtime state of the event loop.
@@ -45,12 +134,28 @@ struct NodeRuntime {
     trace: StateTrace,
 }
 
+impl NodeRuntime {
+    fn new(horizon: Seconds) -> Self {
+        NodeRuntime {
+            state: NodeState::Asleep,
+            state_since: Seconds::ZERO,
+            occupancy: 0,
+            expected: 0,
+            wake_seq: 0,
+            drain_seq: 0,
+            occupied_since: Seconds::ZERO,
+            trace: StateTrace::new(horizon),
+        }
+    }
+}
+
 /// Replays a day of train passes through per-node wake state machines.
 ///
-/// Each node watches its [`TrackSection`]; the simulator builds an event
-/// queue of barrier trips, train entries and exits per node, runs the
-/// asleep → waking → active → drain machine under a [`WakePolicy`], and
-/// integrates per-state time into a [`StateTrace`] per node. The energy
+/// Each node watches its [`TrackSection`]; the simulator replays the
+/// node's barrier trips, train entries and exits on their own (no node
+/// reads or schedules another node's events), runs the asleep → waking →
+/// active → drain machine under a [`WakePolicy`], and integrates
+/// per-state time into a [`StateTrace`] per node. The energy
 /// numbers then come from the same duty-cycle arithmetic as the
 /// closed-form model, so with [`WakePolicy::instant`] the two backends
 /// agree to float precision on deterministic timetables.
@@ -117,15 +222,7 @@ impl CorridorSimulator {
     /// Simulates single-track traffic: every pass sweeps the corridor in
     /// the positive direction.
     pub fn simulate(&self, nodes: &[NodeSpec], passes: &[TrainPass]) -> SimReport {
-        self.run(
-            nodes,
-            passes.len(),
-            nodes.iter().enumerate().flat_map(|(idx, spec)| {
-                passes
-                    .iter()
-                    .map(move |pass| (idx, spec.section().occupancy(pass)))
-            }),
-        )
+        self.run(nodes, passes, None)
     }
 
     /// Simulates bidirectional double-track traffic over a corridor of
@@ -145,102 +242,143 @@ impl CorridorSimulator {
         down: &[TrainPass],
         corridor_length: Meters,
     ) -> SimReport {
-        let mirrored: Vec<TrackSection> = nodes
-            .iter()
-            .map(|spec| {
-                let s = spec.section();
-                assert!(
-                    s.start().value() >= 0.0 && s.end() <= corridor_length,
-                    "section {s} extends beyond the corridor"
-                );
-                TrackSection::new(corridor_length - s.end(), corridor_length - s.start())
-            })
-            .collect();
-        let up_occ = nodes.iter().enumerate().flat_map(|(idx, spec)| {
-            up.iter()
-                .map(move |pass| (idx, spec.section().occupancy(pass)))
-        });
-        let down_occ = mirrored
-            .iter()
-            .enumerate()
-            .flat_map(|(idx, section)| down.iter().map(move |pass| (idx, section.occupancy(pass))));
-        self.run(nodes, up.len() + down.len(), up_occ.chain(down_occ))
+        for spec in nodes {
+            let s = spec.section();
+            assert!(
+                s.start().value() >= 0.0 && s.end() <= corridor_length,
+                "section {s} extends beyond the corridor"
+            );
+        }
+        self.run(nodes, up, Some((down, corridor_length)))
     }
 
-    /// The core loop: schedules barrier/enter/exit events for every
-    /// `(node, occupancy)` pair, then drives the state machines — on the
-    /// calling thread's reused [`SimScratch`] arena.
+    /// The core loop: replays each node's day on its own. A node's state
+    /// machine only reads and schedules its own events, so its trace
+    /// depends on its section, the policy and the horizon alone; nodes
+    /// with bit-identical sections (the mast and the donors all watch
+    /// `[0, isd]`) are simulated once and share the trace and event
+    /// count. `down` carries the double-track passes with the corridor
+    /// length their mirrored sections derive from.
     fn run(
         &self,
         nodes: &[NodeSpec],
-        passes: usize,
-        occupancies: impl Iterator<Item = (usize, (Seconds, Seconds))>,
+        up: &[TrainPass],
+        down: Option<(&[TrainPass], Meters)>,
     ) -> SimReport {
-        SCRATCH
-            .with(|cell| self.run_with_scratch(&mut cell.borrow_mut(), nodes, passes, occupancies))
+        let mut scratch = NodeScratch::default();
+        // (section bits, trace, events) of every distinct section
+        let mut simulated: Vec<((u64, u64), StateTrace, usize)> = Vec::new();
+        let mut reports = Vec::with_capacity(nodes.len());
+        let mut events = 0;
+        for spec in nodes {
+            let section = spec.section();
+            let bits = (
+                section.start().value().to_bits(),
+                section.end().value().to_bits(),
+            );
+            let (trace, handled) = match simulated.iter().find(|(b, ..)| *b == bits) {
+                Some(&(_, trace, handled)) => (trace, handled),
+                None => {
+                    let (trace, handled) = self.simulate_node(&mut scratch, section, up, down);
+                    simulated.push((bits, trace, handled));
+                    (trace, handled)
+                }
+            };
+            events += handled;
+            reports.push(NodeReport::new(spec.kind(), section, trace));
+        }
+        let passes = up.len() + down.map_or(0, |(down, _)| down.len());
+        SimReport::new(reports, self.horizon, events, passes)
     }
 
-    /// [`CorridorSimulator::run`] against an explicit scratch arena.
-    fn run_with_scratch(
+    /// One node's day. Its barrier, entry and exit streams are each
+    /// stable-sorted by time key (equal times keep push order), then
+    /// merged with the node's timer lane in (time, kind rank, push order)
+    /// and fed to the state machine. Static kinds (barrier, enter, exit)
+    /// and timer kinds (wake, drain) never tie on (time, rank), so this
+    /// must equal the order in which one queue keyed (time, rank, node,
+    /// insertion) over all nodes pops this node's events — the reference
+    /// in `tests/queue_differential.rs`. Returns the closed trace and the
+    /// number of events handled.
+    fn simulate_node(
         &self,
-        scratch: &mut SimScratch,
-        nodes: &[NodeSpec],
-        passes: usize,
-        occupancies: impl Iterator<Item = (usize, (Seconds, Seconds))>,
-    ) -> SimReport {
-        let SimScratch { queue, runtimes } = scratch;
-        queue.clear();
-        for (node, (enter, exit)) in occupancies {
-            // intervals entirely outside the horizon never power the node
-            if exit <= Seconds::ZERO || enter >= self.horizon || exit <= enter {
-                continue;
+        scratch: &mut NodeScratch,
+        section: TrackSection,
+        up: &[TrainPass],
+        down: Option<(&[TrainPass], Meters)>,
+    ) -> (StateTrace, usize) {
+        let NodeScratch {
+            barriers,
+            enters,
+            exits,
+            timers,
+        } = scratch;
+        barriers.clear();
+        enters.clear();
+        exits.clear();
+        let mut stage = |section: TrackSection, passes: &[TrainPass]| {
+            for pass in passes {
+                let (enter, exit) = section.occupancy(pass);
+                // intervals entirely outside the horizon never power the node
+                if exit <= Seconds::ZERO || enter >= self.horizon || exit <= enter {
+                    continue;
+                }
+                barriers.push(Stamp::new(enter - self.policy.lead()));
+                enters.push(Stamp::new(enter));
+                exits.push(Stamp::new(exit));
             }
-            queue.push(Event {
-                time: enter - self.policy.lead(),
-                node,
-                kind: EventKind::BarrierTrip,
-            });
-            queue.push(Event {
-                time: enter,
-                node,
-                kind: EventKind::TrainEnter,
-            });
-            queue.push(Event {
-                time: exit,
-                node,
-                kind: EventKind::TrainExit,
-            });
+        };
+        stage(section, up);
+        if let Some((down, length)) = down {
+            // down passes sweep the mirrored section [L−end, L−start]
+            stage(
+                TrackSection::new(length - section.end(), length - section.start()),
+                down,
+            );
+        }
+        for stream in [&mut *barriers, &mut *enters, &mut *exits] {
+            // stable and linear on the already-sorted streams of
+            // single-train days
+            stream.sort_by_key(|stamp| stamp.key);
+            stream.push(Stamp::END);
         }
 
-        runtimes.clear();
-        runtimes.extend(nodes.iter().map(|_| NodeRuntime {
-            state: NodeState::Asleep,
-            state_since: Seconds::ZERO,
-            occupancy: 0,
-            expected: 0,
-            wake_seq: 0,
-            drain_seq: 0,
-            occupied_since: Seconds::ZERO,
-            trace: StateTrace::new(self.horizon),
-        }));
-
-        let mut events = 0usize;
-        while let Some(event) = queue.pop() {
-            events += 1;
-            self.handle(&mut runtimes[event.node], event, queue);
+        let streams = [&*barriers, &*enters, &*exits];
+        let mut heads = [0; 3];
+        let mut rt = NodeRuntime::new(self.horizon);
+        let mut handled = 0;
+        loop {
+            let [b, e, x] = [0, 1, 2].map(|s| streams[s][heads[s]].key);
+            // the earliest static head; key ties resolve in rank order
+            let src = if b <= e && b <= x {
+                0
+            } else if e <= x {
+                1
+            } else {
+                2
+            };
+            let stamp = streams[src][heads[src]];
+            let kind = STATIC_KINDS[src];
+            let (time, kind) = match timers.front() {
+                Some(timer) if timer.order() < (stamp.key, kind.rank()) => {
+                    timers.advance();
+                    (timer.time, timer.kind)
+                }
+                // every stream is at its end and the lane is empty again
+                _ if stamp.key == u64::MAX => break,
+                _ => {
+                    heads[src] += 1;
+                    (stamp.time, kind)
+                }
+            };
+            handled += 1;
+            self.handle(&mut rt, time, kind, timers);
         }
 
-        // close every node's final state segment at the horizon
-        let reports = nodes
-            .iter()
-            .zip(runtimes.drain(..))
-            .map(|(spec, mut rt)| {
-                let remaining = self.horizon - rt.state_since;
-                rt.trace.add(rt.state, remaining);
-                NodeReport::new(spec.kind(), spec.section(), rt.trace)
-            })
-            .collect();
-        SimReport::new(reports, self.horizon, events, passes)
+        // close the final state segment at the horizon
+        let remaining = self.horizon - rt.state_since;
+        rt.trace.add(rt.state, remaining);
+        (rt.trace, handled)
     }
 
     /// Transitions `rt` to `next` at clock `t`, billing the elapsed
@@ -255,20 +393,18 @@ impl CorridorSimulator {
         rt.state_since = clock;
     }
 
-    fn handle(&self, rt: &mut NodeRuntime, event: Event, queue: &mut EventQueue) {
-        let t = event.time;
-        match event.kind {
+    fn handle(&self, rt: &mut NodeRuntime, t: Seconds, kind: EventKind, timers: &mut TimerLane) {
+        match kind {
             EventKind::BarrierTrip => {
                 rt.expected += 1;
                 match rt.state {
                     NodeState::Asleep => {
                         self.transition(rt, t, NodeState::Waking);
                         rt.wake_seq += 1;
-                        queue.push(Event {
-                            time: t + self.policy.wake_delay(),
-                            node: event.node,
-                            kind: EventKind::WakeComplete(rt.wake_seq),
-                        });
+                        timers.schedule(
+                            t + self.policy.wake_delay(),
+                            EventKind::WakeComplete(rt.wake_seq),
+                        );
                     }
                     NodeState::Drain => {
                         // a new train is approaching: cancel the drain
@@ -292,11 +428,10 @@ impl CorridorSimulator {
                         // the train came and went while we were waking
                         rt.drain_seq += 1;
                         self.transition(rt, t, NodeState::Drain);
-                        queue.push(Event {
-                            time: t + self.policy.guard(),
-                            node: event.node,
-                            kind: EventKind::DrainExpire(rt.drain_seq),
-                        });
+                        timers.schedule(
+                            t + self.policy.guard(),
+                            EventKind::DrainExpire(rt.drain_seq),
+                        );
                     }
                 }
             }
@@ -315,11 +450,10 @@ impl CorridorSimulator {
                         // but an unsensed train must still wake the node
                         self.transition(rt, t, NodeState::Waking);
                         rt.wake_seq += 1;
-                        queue.push(Event {
-                            time: t + self.policy.wake_delay(),
-                            node: event.node,
-                            kind: EventKind::WakeComplete(rt.wake_seq),
-                        });
+                        timers.schedule(
+                            t + self.policy.wake_delay(),
+                            EventKind::WakeComplete(rt.wake_seq),
+                        );
                     }
                     NodeState::Waking | NodeState::Active => {}
                 }
@@ -337,11 +471,10 @@ impl CorridorSimulator {
                         NodeState::Active if rt.expected == 0 => {
                             rt.drain_seq += 1;
                             self.transition(rt, t, NodeState::Drain);
-                            queue.push(Event {
-                                time: t + self.policy.guard(),
-                                node: event.node,
-                                kind: EventKind::DrainExpire(rt.drain_seq),
-                            });
+                            timers.schedule(
+                                t + self.policy.guard(),
+                                EventKind::DrainExpire(rt.drain_seq),
+                            );
                         }
                         // a tripped train is still approaching: stay powered
                         _ => {}
@@ -528,6 +661,57 @@ mod tests {
         assert!(report.events_processed() >= 13 * 152 * 3);
         assert_eq!(report.passes(), 152);
         assert_eq!(report.horizon(), Seconds::new(86_400.0));
+    }
+
+    /// Every trace field, floats as raw bits.
+    fn trace_bits(trace: &StateTrace) -> [u64; 7] {
+        [
+            trace.horizon().value().to_bits(),
+            trace.asleep().value().to_bits(),
+            trace.waking().value().to_bits(),
+            trace.active().value().to_bits(),
+            trace.drain().value().to_bits(),
+            trace.uncovered().value().to_bits(),
+            trace.wakes() as u64,
+        ]
+    }
+
+    #[test]
+    fn twin_sections_share_one_simulation() {
+        let isd = Meters::new(2650.0);
+        let wider = Meters::new(f64::from_bits(isd.value().to_bits() + 1));
+        let base = TrackSection::new(Meters::ZERO, isd);
+        let nodes = [
+            NodeSpec::new(NodeKind::HighPowerMast, base),
+            NodeSpec::new(NodeKind::DonorRepeater, base),
+            NodeSpec::new(NodeKind::DonorRepeater, base),
+            NodeSpec::new(
+                NodeKind::ServiceRepeater,
+                TrackSection::new(Meters::ZERO, wider),
+            ),
+        ];
+        // a lone pass at t = 0 keeps the one-ulp wider exit visible in
+        // the trace (a full day's sums would round it away)
+        let passes = [TrainPass::new(Train::paper_default(), Seconds::ZERO)];
+        let sim = CorridorSimulator::new().with_policy(WakePolicy::paper_default());
+        let report = sim.simulate(&nodes, &passes);
+        let alone = |spec: NodeSpec| sim.simulate(&[spec], &passes);
+        let (base_alone, wider_alone) = (alone(nodes[0]), alone(nodes[3]));
+        let bits = |report: &SimReport, i: usize| trace_bits(report.nodes()[i].trace());
+
+        // the mast and both donors carry the one simulated trace
+        for (i, spec) in nodes[..3].iter().enumerate() {
+            assert_eq!(bits(&report, i), bits(&base_alone, 0));
+            assert_eq!(report.nodes()[i].kind(), spec.kind());
+        }
+        // the wider section is simulated on its own
+        assert_eq!(bits(&report, 3), bits(&wider_alone, 0));
+        assert_ne!(bits(&report, 3), bits(&report, 0));
+        // and every node's events are counted
+        assert_eq!(
+            report.events_processed(),
+            3 * base_alone.events_processed() + wider_alone.events_processed()
+        );
     }
 
     #[test]
