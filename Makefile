@@ -2,9 +2,9 @@
 
 RUSTDOCFLAGS_STRICT := -D missing_docs -D warnings
 
-.PHONY: ci fmt-check clippy lint build test golden differential mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart bench-build bench-sweep bench-mc bench-optimize bench-snapshot results
+.PHONY: ci fmt-check clippy lint build perfbench-build test golden differential mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart bench-build bench-sweep bench-mc bench-optimize bench-snapshot results
 
-ci: fmt-check clippy lint build test golden differential mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart bench-build bench-sweep bench-mc bench-optimize
+ci: fmt-check clippy lint build perfbench-build test golden differential mc optimize network-smoke network-differential serve-smoke cache-determinism doc quickstart bench-build bench-sweep bench-mc bench-optimize
 
 fmt-check:
 	cargo fmt --all --check
@@ -20,6 +20,11 @@ clippy:
 
 build:
 	cargo build --release --workspace
+
+# The benchmark harness is a workspace of its own (perfbench/Cargo.toml)
+# calling the engines, so the workspace build does not compile it.
+perfbench-build:
+	cargo build --release --manifest-path perfbench/Cargo.toml
 
 test:
 	cargo test -q --workspace

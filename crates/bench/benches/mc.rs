@@ -34,11 +34,7 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("mc20");
     group.bench_function("serial", |b| {
         let engine = McEngine::new().workers(1);
-        b.iter(|| {
-            engine
-                .run_serial(black_box(&grid), black_box(&plan))
-                .unwrap()
-        })
+        b.iter(|| engine.run(black_box(&grid), black_box(&plan)).unwrap())
     });
     for workers in [2usize, 4, 8] {
         group.bench_with_input(
@@ -62,7 +58,7 @@ fn report_cell_days_per_second(_c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
 
     let started = Instant::now();
-    let serial = McEngine::new().workers(1).run_serial(&grid, &plan).unwrap();
+    let serial = McEngine::new().workers(1).run(&grid, &plan).unwrap();
     let t_serial = started.elapsed();
 
     let started = Instant::now();

@@ -43,11 +43,7 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("optimize4");
     group.bench_function("serial", |b| {
         let optimizer = DeploymentOptimizer::new().workers(1);
-        b.iter(|| {
-            optimizer
-                .run_serial(black_box(&grid), black_box(&space))
-                .unwrap()
-        })
+        b.iter(|| optimizer.run(black_box(&grid), black_box(&space)).unwrap())
     });
     for workers in [2usize, 4] {
         group.bench_with_input(
@@ -73,7 +69,7 @@ fn report_configs_per_second(_c: &mut Criterion) {
     let started = Instant::now();
     let serial = DeploymentOptimizer::new()
         .workers(1)
-        .run_serial(&grid, &space)
+        .run(&grid, &space)
         .unwrap();
     let t_serial = started.elapsed();
 

@@ -32,7 +32,7 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep200");
     group.bench_function("serial", |b| {
         let engine = SweepEngine::new().workers(1).pv_sizing(false);
-        b.iter(|| engine.run_serial(black_box(&grid)).unwrap())
+        b.iter(|| engine.run(black_box(&grid)).unwrap())
     });
     for workers in [2usize, 4, 8] {
         group.bench_with_input(
@@ -56,7 +56,7 @@ fn report_speedup(_c: &mut Criterion) {
     let engine = SweepEngine::new().pv_sizing(true);
 
     let started = Instant::now();
-    let serial = engine.workers(1).run_serial(&grid).unwrap();
+    let serial = engine.workers(1).run(&grid).unwrap();
     let t_serial = started.elapsed();
 
     let started = Instant::now();

@@ -181,11 +181,19 @@ fn bad_requests_get_error_lines_not_crashes() {
         .stdin
         .take()
         .unwrap()
-        .write_all(b"sweep grid=no-such-grid format=csv\nfrobnicate the corridor\n")
+        .write_all(
+            b"sweep grid=no-such-grid format=csv\nfrobnicate the corridor\n\
+              mc grid=smoke-3 format=csv reps=0\n",
+        )
         .unwrap();
     let output = child.wait_with_output().unwrap();
     assert!(!output.status.success(), "bad requests must fail the run");
     let stdout = String::from_utf8(output.stdout).unwrap();
     let errors: Vec<&str> = stdout.lines().filter(|l| l.starts_with("ERROR ")).collect();
-    assert_eq!(errors.len(), 2, "one ERROR line per bad request: {stdout}");
+    assert_eq!(errors.len(), 3, "one ERROR line per bad request: {stdout}");
+    // rejected at parse time: no stream is opened for any of them
+    assert!(
+        !stdout.lines().any(|l| l.starts_with("BEGIN")),
+        "a bad request must not open a stream: {stdout}"
+    );
 }

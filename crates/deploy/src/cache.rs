@@ -64,7 +64,7 @@ impl PlacementKey {
 
 /// Memoizes minimum-SNR coverage profiles under one [`LinkBudget`].
 ///
-/// Thread-safe: searches running on the worker pool share one cache.
+/// Thread-safe: searches running on parallel workers share one cache.
 /// The map lock is held only long enough to reserve a per-key slot
 /// (`Arc<OnceLock>`); the profile computation itself runs outside it,
 /// so distinct keys profile concurrently and hits never wait behind an

@@ -19,8 +19,8 @@ use corridor_units::{Hours, Meters};
 use crate::ScenarioCell;
 
 /// Cells evaluated per batch. Eight keeps every column of a block in a
-/// couple of cache lines while leaving enough blocks for the worker
-/// pool to balance.
+/// couple of cache lines while leaving enough blocks for the workers to
+/// balance.
 pub(crate) const BLOCK: usize = 8;
 
 /// The activity columns of one block of cells, stored column-wise.

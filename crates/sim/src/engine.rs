@@ -1,4 +1,4 @@
-//! Serial and parallel sweep execution over pluggable energy backends.
+//! Sweep execution over pluggable energy backends.
 
 use core::ops::Range;
 use std::collections::BTreeMap;
@@ -11,7 +11,6 @@ use corridor_events::{EventDrivenEvaluator, WakePolicy};
 use corridor_solar::{sizing, DailyLoadProfile, Location};
 use corridor_traffic::TrackSection;
 use corridor_units::Watts;
-use rayon::prelude::*;
 
 use crate::cache::{KeyBuilder, ResultCache};
 use crate::report::{render_sweep_row, CSV_HEADER};
@@ -113,14 +112,14 @@ impl Evaluator {
     }
 }
 
-/// Executes a [`ScenarioGrid`], cell by cell, serially or on a worker
-/// pool.
+/// Executes a [`ScenarioGrid`], cell by cell, on one or more worker
+/// threads.
 ///
 /// Each cell is evaluated independently (energy split for the three
 /// strategies through the selected [`Evaluator`], savings versus the
 /// cell's conventional baseline, and — unless disabled — the off-grid PV
-/// sizing for the cell's climate), so the parallel path produces results
-/// identical to the serial one, in the same deterministic grid order.
+/// sizing for the cell's climate), so every worker count produces the
+/// same results, in the same deterministic grid order.
 ///
 /// # Examples
 ///
@@ -185,51 +184,28 @@ impl SweepEngine {
         self
     }
 
-    /// Expands the grid and evaluates every cell on the worker pool.
+    /// Evaluates every cell of the grid on the configured workers, one
+    /// struct-of-arrays block of cells per work item, and collects the
+    /// results in grid order.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::ZeroWorkers`] if an explicit worker
-    /// count of zero was configured,
-    /// [`ScenarioError::WorkerPoolBuild`] if the pool cannot be built,
-    /// or the [`ScenarioError`] of the first cell whose parameters fail
-    /// validation.
+    /// count of zero was configured, or the [`ScenarioError`] of the
+    /// first cell (in grid order) whose parameters fail validation.
     pub fn run(&self, grid: &ScenarioGrid) -> Result<SweepReport, ScenarioError> {
-        if self.workers == Some(0) {
-            return Err(ScenarioError::ZeroWorkers);
-        }
-        let cells = grid.expand()?;
-        let pool = build_pool(self.workers)?;
-        let chunks: Vec<&[ScenarioCell]> = cells.chunks(batch::BLOCK).collect();
-        let blocks: Vec<Vec<CellResult>> = pool.install(|| {
-            chunks
-                .par_iter()
-                .map(|chunk| self.evaluate_block(chunk))
-                .collect()
-        });
+        let workers = stream::resolve_workers(self.workers)?;
+        let blocks = stream::collect(
+            workers,
+            stream::chunked_ranges(0..grid.len(), batch::BLOCK),
+            |range| {
+                let cells = range
+                    .map(|index| grid.cell_at(index))
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok(self.evaluate_block(&cells))
+            },
+        )?;
         Ok(SweepReport::new(blocks.into_iter().flatten().collect()))
-    }
-
-    /// Expands the grid and evaluates every cell on the calling thread —
-    /// the reference path the parallel results are checked against.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::ZeroWorkers`] if an explicit worker
-    /// count of zero was configured (the serial path needs no pool, but
-    /// the configuration is just as wrong), or the [`ScenarioError`] of
-    /// the first cell whose parameters fail validation.
-    pub fn run_serial(&self, grid: &ScenarioGrid) -> Result<SweepReport, ScenarioError> {
-        if self.workers == Some(0) {
-            return Err(ScenarioError::ZeroWorkers);
-        }
-        let cells = grid.expand()?;
-        Ok(SweepReport::new(
-            cells
-                .chunks(batch::BLOCK)
-                .flat_map(|chunk| self.evaluate_block(chunk))
-                .collect(),
-        ))
     }
 
     /// Streams the whole grid into `sink` in grid order without ever
@@ -434,20 +410,6 @@ impl SweepEngine {
     }
 }
 
-/// Builds the worker pool for an explicit worker count (`None` = auto).
-///
-/// # Errors
-///
-/// Returns [`ScenarioError::WorkerPoolBuild`] if the pool cannot be
-/// built (never with the offline shim, but real `rayon` can fail on
-/// resource exhaustion — a sweep must surface that, not panic).
-pub(crate) fn build_pool(workers: Option<usize>) -> Result<rayon::ThreadPool, ScenarioError> {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(workers.unwrap_or(0))
-        .build()
-        .map_err(|_| ScenarioError::WorkerPoolBuild)
-}
-
 /// Sizes the off-grid PV system of one service repeater at `isd`: the
 /// node sleeps through the night pause and serves train bursts during
 /// the service window (the paper's Table IV methodology, generalized to
@@ -635,7 +597,7 @@ mod tests {
             .train_speeds_kmh(vec![160.0, 200.0])
             .locations(vec![climate::madrid(), climate::berlin()]);
         let engine = SweepEngine::new().pv_sizing(false);
-        let serial = engine.run_serial(&grid).unwrap();
+        let serial = engine.workers(1).run(&grid).unwrap();
         let parallel = engine.workers(4).run(&grid).unwrap();
         assert_eq!(serial.results(), parallel.results());
     }
@@ -660,9 +622,6 @@ mod tests {
     fn explicit_zero_workers_is_rejected() {
         let engine = SweepEngine::new().workers(0).pv_sizing(false);
         let err = engine.run(&ScenarioGrid::new()).unwrap_err();
-        assert_eq!(err, ScenarioError::ZeroWorkers);
-        // the serial path rejects the same misconfiguration
-        let err = engine.run_serial(&ScenarioGrid::new()).unwrap_err();
         assert_eq!(err, ScenarioError::ZeroWorkers);
         // automatic parallelism (no explicit count) still works
         assert!(SweepEngine::new()

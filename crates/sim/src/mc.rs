@@ -5,15 +5,14 @@
 //! one number per cell; this module gives each cell a *distribution*. A
 //! [`ReplicationPlan`] selects a stochastic traffic pattern
 //! ([`TrafficSpec`]), a replication count and a master seed; the
-//! [`McEngine`] expands every [`ScenarioGrid`] cell into
-//! `(cell × replication)` work items with [`SeedSequence`]-derived RNG
-//! streams, replays each seeded day through the event-driven backend (one
-//! prepared [`SegmentReplicator`] per cell geometry, reused across all of
-//! the cell's seeds), and folds the daily metrics through streaming
-//! [`Welford`] accumulators into a [`McReport`] — mean, standard
-//! deviation, 95 % confidence interval, min and max per cell and metric,
-//! rendered by deterministic CSV/JSON writers that are byte-identical
-//! regardless of worker count.
+//! [`McEngine`] gives every [`ScenarioGrid`] cell its replications'
+//! [`SeedSequence`]-derived RNG streams, replays each seeded day through
+//! the event-driven backend (one prepared [`SegmentReplicator`] per cell
+//! geometry, reused across all of the cell's seeds), and folds the daily
+//! metrics through streaming [`Welford`] accumulators into a
+//! [`McReport`] — mean, standard deviation, 95 % confidence interval, min
+//! and max per cell and metric, rendered by deterministic CSV/JSON
+//! writers that are byte-identical regardless of worker count.
 
 use corridor_core::sink::{RowEmitter, RowFormat, RowSink, SinkResult, StringSink};
 use corridor_core::stats::{SummaryStats, Welford};
@@ -21,7 +20,6 @@ use corridor_core::{EnergyStrategy, ScenarioError};
 use corridor_events::{EventDrivenEvaluator, NodeKind, SegmentReplicator, WakePolicy};
 use corridor_traffic::{DelayModel, PoissonTimetable, SeedSequence, Timetable, TrafficModel};
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use core::fmt::Write as _;
 use std::io;
@@ -217,10 +215,6 @@ impl McCellResult {
     }
 }
 
-/// The prepared per-cell contexts plus the flat `(cell, seed)` work
-/// list, in deterministic `(cell, replication)` order.
-type ExpandedPlan = (Vec<CellContext>, Vec<(usize, u64)>);
-
 /// Everything a cell's replications need, prepared once: the cell, its
 /// traffic model, and prebuilt deployment/baseline simulators.
 struct CellContext {
@@ -290,14 +284,14 @@ impl CellContext {
     }
 }
 
-/// Executes [`ReplicationPlan`]s over [`ScenarioGrid`]s, serially or on
-/// the worker pool.
+/// Executes [`ReplicationPlan`]s over [`ScenarioGrid`]s on one or more
+/// worker threads.
 ///
-/// The expensive part — simulating seeded days — runs in parallel over
-/// the `(cell × replication)` work items; the statistical fold is serial
-/// and in fixed `(cell, replication)` order, so the resulting
-/// [`McReport`] (and its CSV/JSON renderings) is byte-identical no
-/// matter how many workers produced the samples.
+/// One work item is one cell: its seeded days are simulated and folded
+/// in fixed replication order on a single worker, and cells are
+/// collected in grid order, so the resulting [`McReport`] (and its
+/// CSV/JSON renderings) is byte-identical no matter how many workers
+/// produced it.
 ///
 /// # Examples
 ///
@@ -341,54 +335,30 @@ impl McEngine {
         self
     }
 
-    /// Expands `grid × plan` into work items and evaluates them on the
-    /// worker pool.
+    /// Evaluates every cell's replications on the configured workers
+    /// (one work item per cell) and collects the statistics in grid
+    /// order.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::ZeroWorkers`] for an explicit worker
-    /// count of zero, [`ScenarioError::WorkerPoolBuild`] if the pool
-    /// cannot be built, or the [`ScenarioError`] of the first cell
-    /// whose parameters fail validation.
+    /// count of zero, or the [`ScenarioError`] of the first cell (in grid
+    /// order) whose parameters fail validation.
     pub fn run(
         &self,
         grid: &ScenarioGrid,
         plan: &ReplicationPlan,
     ) -> Result<McReport, ScenarioError> {
-        if self.workers == Some(0) {
-            return Err(ScenarioError::ZeroWorkers);
-        }
-        let (contexts, items) = self.expand(grid, plan)?;
-        let pool = crate::engine::build_pool(self.workers)?;
-        let samples: Vec<DaySample> = pool.install(|| {
-            items
-                .par_iter()
-                .map(|&(cell, seed)| contexts[cell].sample_day(seed))
-                .collect()
-        });
-        Ok(Self::fold(contexts, samples, plan))
-    }
-
-    /// Evaluates every work item on the calling thread — the reference
-    /// path the parallel results are checked against.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`McEngine::run`].
-    pub fn run_serial(
-        &self,
-        grid: &ScenarioGrid,
-        plan: &ReplicationPlan,
-    ) -> Result<McReport, ScenarioError> {
-        if self.workers == Some(0) {
-            return Err(ScenarioError::ZeroWorkers);
-        }
-        let (contexts, items) = self.expand(grid, plan)?;
-        let samples: Vec<DaySample> = items
-            .iter()
-            .map(|&(cell, seed)| contexts[cell].sample_day(seed))
-            .collect();
-        Ok(Self::fold(contexts, samples, plan))
+        let workers = stream::resolve_workers(self.workers)?;
+        let results = stream::collect(workers, 0..grid.len(), |index| {
+            Ok(evaluate_mc_cell(grid.cell_at(index)?, plan, self.policy))
+        })?;
+        Ok(McReport {
+            results,
+            traffic: plan.traffic_spec().label(),
+            replications: plan.replications(),
+            master_seed: plan.seeds().master(),
+        })
     }
 
     /// Streams the whole grid into `sink` in grid order without
@@ -433,9 +403,9 @@ impl McEngine {
     }
 
     /// Streams the raw rows of a cell range to `emit`, without header or
-    /// framing (the `serve` shard primitive). One work item is one cell:
-    /// its replications are sampled in plan order on a single worker, so
-    /// the folded statistics are bit-identical to the in-memory path.
+    /// framing (the `serve` shard primitive). Cells are evaluated exactly
+    /// as [`McEngine::run`] evaluates them, so the folded statistics are
+    /// bit-identical to the in-memory path.
     ///
     /// # Panics
     ///
@@ -520,60 +490,6 @@ impl McEngine {
         }
         key.cell(cell);
         key.finish()
-    }
-
-    /// Builds the per-cell contexts and the flat `(cell, seed)` work
-    /// list, in deterministic `(cell, replication)` order.
-    fn expand(
-        &self,
-        grid: &ScenarioGrid,
-        plan: &ReplicationPlan,
-    ) -> Result<ExpandedPlan, ScenarioError> {
-        let contexts: Vec<CellContext> = grid
-            .expand()?
-            .into_iter()
-            .map(|cell| CellContext::new(cell, plan.traffic_spec(), self.policy))
-            .collect();
-        let mut items = Vec::with_capacity(contexts.len() * plan.replications());
-        for cell in 0..contexts.len() {
-            for seed in plan.seeds().cell_seeds(cell as u64, plan.replications()) {
-                items.push((cell, seed));
-            }
-        }
-        Ok((contexts, items))
-    }
-
-    /// Folds the flat sample list into per-cell statistics, serially and
-    /// in work-item order — the step that makes reports byte-identical
-    /// across worker counts.
-    fn fold(
-        contexts: Vec<CellContext>,
-        samples: Vec<DaySample>,
-        plan: &ReplicationPlan,
-    ) -> McReport {
-        let reps = plan.replications();
-        let results = contexts
-            .into_iter()
-            .enumerate()
-            .map(|(index, context)| {
-                let mut accumulators = [Welford::new(); 5];
-                for sample in &samples[index * reps..(index + 1) * reps] {
-                    for (acc, value) in accumulators.iter_mut().zip(sample.values) {
-                        acc.push(value);
-                    }
-                }
-                McCellResult {
-                    cell: context.cell,
-                    stats: accumulators.map(|acc| acc.summary()),
-                }
-            })
-            .collect();
-        McReport {
-            results,
-            traffic: plan.traffic_spec().label(),
-            replications: reps,
-            master_seed: plan.seeds().master(),
-        }
     }
 }
 
@@ -712,9 +628,8 @@ impl McReport {
 }
 
 /// Evaluates one cell's whole replication set on the calling thread, in
-/// plan order — the same `(cell, replication)` ordering as the engine's
-/// flat work list, so the folded statistics are bit-identical to the
-/// in-memory path's for the same cell.
+/// plan order — the one work item of both [`McEngine::run`] and the
+/// streaming path.
 pub(crate) fn evaluate_mc_cell(
     cell: ScenarioCell,
     plan: &ReplicationPlan,
@@ -879,10 +794,6 @@ mod tests {
     fn explicit_zero_workers_is_rejected() {
         let engine = McEngine::new().workers(0);
         let err = engine.run(&ScenarioGrid::new(), &small_plan()).unwrap_err();
-        assert_eq!(err, ScenarioError::ZeroWorkers);
-        let err = engine
-            .run_serial(&ScenarioGrid::new(), &small_plan())
-            .unwrap_err();
         assert_eq!(err, ScenarioError::ZeroWorkers);
     }
 

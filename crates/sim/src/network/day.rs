@@ -24,11 +24,9 @@ use corridor_traffic::{PoissonTimetable, SeedSequence, Train};
 use corridor_units::{Hours, KilometersPerHour, Meters};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use core::fmt::Write as _;
 
-use crate::engine::build_pool;
 use crate::optimize::FrontierPoint;
 use crate::report::{csv_field, json_string};
 use crate::stream::{self, ChunkRows, RowPair, StreamError, StreamSummary};
@@ -351,17 +349,11 @@ impl NetworkDayEngine {
         space: &SearchSpace,
     ) -> Result<NetworkDayReport, NetworkError> {
         let (routes, sim, picks) = self.prepare(net, space)?;
-        let pool = build_pool(self.workers).map_err(NetworkError::Scenario)?;
-        let per_edge: Vec<Result<EdgeDayStats, ScenarioError>> = pool.install(|| {
-            (0..net.edge_count())
-                .into_par_iter()
-                .map(|e| self.edge_stats(net, &routes, &sim, &picks, e))
-                .collect()
-        });
-        let per_edge = per_edge
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(NetworkError::Scenario)?;
+        let workers = stream::resolve_workers(self.workers).map_err(NetworkError::Scenario)?;
+        let per_edge = stream::collect(workers, 0..net.edge_count(), |e| {
+            self.edge_stats(net, &routes, &sim, &picks, e)
+        })
+        .map_err(NetworkError::Scenario)?;
         let mut crossings = Welford::new();
         for rep in 0..self.reps {
             let itineraries = sample_itineraries(net, &routes, self.seed, rep as u64);

@@ -6,8 +6,8 @@
 //! time (a fixed 50 m-step ISD sweep per repeater count). This module
 //! closes the loop with the energy and PV layers: a [`SearchSpace`]
 //! describes the candidate configurations, the [`DeploymentOptimizer`]
-//! evaluates every candidate of every [`ScenarioGrid`] cell on the
-//! worker pool — coverage through a shared
+//! evaluates every candidate of every [`ScenarioGrid`] cell on one or
+//! more worker threads — coverage through a shared
 //! [`CoverageCache`](corridor_deploy::CoverageCache) (each
 //! `(layout, budget)` pair profiled once across the whole search),
 //! energy through the [`SegmentEvaluator`](corridor_core::SegmentEvaluator)
@@ -35,10 +35,9 @@ use corridor_deploy::{CoverageCache, IsdTable, LinkBudget, SegmentInventory};
 use corridor_events::{EventDrivenEvaluator, NodeKind, WakePolicy};
 use corridor_traffic::TrackSection;
 use corridor_units::{Db, Meters};
-use rayon::prelude::*;
 
 use crate::cache::{KeyBuilder, ResultCache};
-use crate::engine::{build_pool, size_repeater_pv_for_load};
+use crate::engine::size_repeater_pv_for_load;
 use crate::report::{csv_field, json_string};
 use crate::stream::{self, ChunkRows, RowPair, StreamError, StreamSummary};
 use crate::{PvOutcome, ScenarioCell, ScenarioGrid};
@@ -200,12 +199,6 @@ impl SearchSpace {
     pub(crate) fn isd_search_label(&self) -> &'static str {
         self.isd_search.label()
     }
-
-    /// The coverage-profile sampling step (shared with the network
-    /// optimizer's cache construction).
-    pub(crate) fn sample_step_value(&self) -> Meters {
-        self.sample_step
-    }
 }
 
 impl Default for SearchSpace {
@@ -312,15 +305,15 @@ impl OptimizeCellResult {
     }
 }
 
-/// Executes [`SearchSpace`]s over [`ScenarioGrid`]s, serially or on the
-/// worker pool.
+/// Executes [`SearchSpace`]s over [`ScenarioGrid`]s on one or more
+/// worker threads.
 ///
 /// Cells evaluate independently and in parallel; they share one
 /// [`CoverageCache`](corridor_deploy::CoverageCache) per distinct link
 /// budget, so the coverage question for a given `(n, isd, placement)`
 /// is profiled once across the whole search instead of once per cell ×
 /// policy × probe (the hot path of the naive per-step sweep). Results
-/// fold in grid order, so reports are byte-identical across worker
+/// are collected in grid order, so reports are byte-identical across worker
 /// counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeploymentOptimizer {
@@ -341,52 +334,38 @@ impl DeploymentOptimizer {
         self
     }
 
-    /// Expands the grid and searches every cell on the worker pool.
+    /// Searches every cell of the grid on the configured workers and
+    /// collects the frontiers in grid order.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::ZeroWorkers`] for an explicit worker
-    /// count of zero, [`ScenarioError::WorkerPoolBuild`] if the pool
-    /// cannot be built, or the [`ScenarioError`] of the first cell
-    /// whose parameters fail validation.
+    /// count of zero, or the [`ScenarioError`] of the first cell (in grid
+    /// order) whose parameters fail validation.
     pub fn run(
         &self,
         grid: &ScenarioGrid,
         space: &SearchSpace,
     ) -> Result<OptimizeReport, ScenarioError> {
-        if self.workers == Some(0) {
-            return Err(ScenarioError::ZeroWorkers);
-        }
-        let (work, caches) = Self::expand(grid, space)?;
-        let pool = build_pool(self.workers)?;
-        let results: Vec<OptimizeCellResult> = pool.install(|| {
-            work.par_iter()
-                .map(|(cell, cache)| evaluate_cell(cell, cache, space))
-                .collect()
-        });
-        Ok(Self::fold(results, space, caches))
-    }
-
-    /// Searches every cell on the calling thread — the reference path
-    /// the parallel results are checked against.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DeploymentOptimizer::run`].
-    pub fn run_serial(
-        &self,
-        grid: &ScenarioGrid,
-        space: &SearchSpace,
-    ) -> Result<OptimizeReport, ScenarioError> {
-        if self.workers == Some(0) {
-            return Err(ScenarioError::ZeroWorkers);
-        }
-        let (work, caches) = Self::expand(grid, space)?;
-        let results: Vec<OptimizeCellResult> = work
-            .iter()
-            .map(|(cell, cache)| evaluate_cell(cell, cache, space))
-            .collect();
-        Ok(Self::fold(results, space, caches))
+        let workers = stream::resolve_workers(self.workers)?;
+        let coverage = CoverageCaches::default();
+        let results = stream::collect(workers, 0..grid.len(), |index| {
+            let cell = grid.cell_at(index)?;
+            Ok(evaluate_cell(
+                &cell,
+                &shared_cache(&coverage, &cell, space),
+                space,
+            ))
+        })?;
+        let caches = coverage
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        Ok(OptimizeReport {
+            results,
+            isd_search: space.isd_search.label(),
+            lookups: caches.iter().map(|(_, c)| c.lookups()).sum(),
+            profile_evaluations: caches.iter().map(|(_, c)| c.profile_evaluations()).sum(),
+        })
     }
 
     /// Streams the whole grid into `sink` in grid order without
@@ -435,7 +414,7 @@ impl DeploymentOptimizer {
     /// Streams the raw per-cell chunks of a cell range to `emit`,
     /// without header or framing (the `serve` shard primitive). Workers
     /// share one lazily built [`CoverageCache`] per distinct link
-    /// budget, exactly like the in-memory expansion.
+    /// budget, exactly like [`DeploymentOptimizer::run`].
     ///
     /// # Panics
     ///
@@ -455,7 +434,7 @@ impl DeploymentOptimizer {
         mut emit: impl FnMut(&str) -> Result<(), StreamError>,
     ) -> Result<StreamSummary, StreamError> {
         let workers = stream::resolve_workers(self.workers)?;
-        let coverage: Mutex<Vec<(LinkBudget, Arc<CoverageCache>)>> = Mutex::new(Vec::new());
+        let coverage = CoverageCaches::default();
         stream::drive(
             workers,
             range,
@@ -476,21 +455,7 @@ impl DeploymentOptimizer {
                     }
                     None => String::new(),
                 };
-                let shared = {
-                    let mut caches = coverage.lock().unwrap_or_else(PoisonError::into_inner);
-                    let budget = cell.params().budget();
-                    match caches.iter().find(|(b, _)| b == budget) {
-                        Some((_, shared)) => Arc::clone(shared),
-                        None => {
-                            let shared = Arc::new(CoverageCache::with_sample_step(
-                                budget.clone(),
-                                space.sample_step,
-                            ));
-                            caches.push((budget.clone(), Arc::clone(&shared)));
-                            shared
-                        }
-                    }
-                };
+                let shared = shared_cache(&coverage, &cell, space);
                 let result = evaluate_cell(&cell, &shared, space);
                 let label = space.isd_search.label();
                 let pair = RowPair {
@@ -509,65 +474,39 @@ impl DeploymentOptimizer {
             &mut emit,
         )
     }
-
-    /// Expands the grid and pairs every cell with the shared coverage
-    /// cache of its link budget (one cache per distinct budget, usually
-    /// exactly one).
-    #[allow(clippy::type_complexity)]
-    fn expand(
-        grid: &ScenarioGrid,
-        space: &SearchSpace,
-    ) -> Result<
-        (
-            Vec<(ScenarioCell, Arc<CoverageCache>)>,
-            Vec<Arc<CoverageCache>>,
-        ),
-        ScenarioError,
-    > {
-        let cells = grid.expand()?;
-        let mut caches: Vec<(LinkBudget, Arc<CoverageCache>)> = Vec::new();
-        let work = cells
-            .into_iter()
-            .map(|cell| {
-                let budget = cell.params().budget();
-                let cache = match caches.iter().find(|(b, _)| b == budget) {
-                    Some((_, cache)) => Arc::clone(cache),
-                    None => {
-                        let cache = Arc::new(CoverageCache::with_sample_step(
-                            budget.clone(),
-                            space.sample_step,
-                        ));
-                        caches.push((budget.clone(), Arc::clone(&cache)));
-                        cache
-                    }
-                };
-                (cell, cache)
-            })
-            .collect();
-        Ok((work, caches.into_iter().map(|(_, c)| c).collect()))
-    }
-
-    /// Assembles the report and the aggregated cache counters.
-    fn fold(
-        results: Vec<OptimizeCellResult>,
-        space: &SearchSpace,
-        caches: Vec<Arc<CoverageCache>>,
-    ) -> OptimizeReport {
-        let lookups = caches.iter().map(|c| c.lookups()).sum();
-        let profile_evaluations = caches.iter().map(|c| c.profile_evaluations()).sum();
-        OptimizeReport {
-            results,
-            isd_search: space.isd_search.label(),
-            lookups,
-            profile_evaluations,
-        }
-    }
 }
 
 impl Default for DeploymentOptimizer {
     /// Returns [`DeploymentOptimizer::new`].
     fn default() -> Self {
         DeploymentOptimizer::new()
+    }
+}
+
+/// The shared coverage caches of one search, one per distinct link
+/// budget (usually exactly one), created as cells first need them.
+pub(crate) type CoverageCaches = Mutex<Vec<(LinkBudget, Arc<CoverageCache>)>>;
+
+/// Finds or lazily creates the shared coverage cache for a cell's link
+/// budget, so every cell (or network edge) of a search shares SNR
+/// profiles.
+pub(crate) fn shared_cache(
+    caches: &CoverageCaches,
+    cell: &ScenarioCell,
+    space: &SearchSpace,
+) -> Arc<CoverageCache> {
+    let mut caches = caches.lock().unwrap_or_else(PoisonError::into_inner);
+    let budget = cell.params().budget();
+    match caches.iter().find(|(b, _)| b == budget) {
+        Some((_, shared)) => Arc::clone(shared),
+        None => {
+            let shared = Arc::new(CoverageCache::with_sample_step(
+                budget.clone(),
+                space.sample_step,
+            ));
+            caches.push((budget.clone(), Arc::clone(&shared)));
+            shared
+        }
     }
 }
 
@@ -1089,10 +1028,6 @@ mod tests {
         let optimizer = DeploymentOptimizer::new().workers(0);
         let err = optimizer
             .run(&ScenarioGrid::new(), &quick_space())
-            .unwrap_err();
-        assert_eq!(err, ScenarioError::ZeroWorkers);
-        let err = optimizer
-            .run_serial(&ScenarioGrid::new(), &quick_space())
             .unwrap_err();
         assert_eq!(err, ScenarioError::ZeroWorkers);
     }

@@ -1,17 +1,23 @@
-//! Streaming row plumbing shared by the three engines.
+//! Execution plumbing shared by the five engines.
 //!
-//! The in-memory reports ([`SweepReport`](crate::SweepReport),
-//! [`McReport`](crate::McReport), [`OptimizeReport`](crate::OptimizeReport))
-//! hold every evaluated cell before rendering — fine for thousands of
-//! cells, fatal for millions. The engines' `stream` / `stream_rows`
-//! methods instead drive the grid through
-//! [`rayon::stream_ordered`]: cells are pulled lazily via
-//! [`ScenarioGrid::cell_at`](crate::ScenarioGrid::cell_at), evaluated on
-//! a bounded window of worker threads, rendered to row strings and
-//! handed to a [`RowSink`](corridor_core::sink::RowSink) in grid order.
-//! Peak memory is `O(workers × chunk)` whatever the grid size, and the
-//! emitted bytes are identical to the in-memory writers' — the contract
-//! the streaming-equivalence tests pin with SHA-256 digests.
+//! Every engine entry point runs on [`rayon::stream_ordered`], through
+//! one of two drivers here:
+//!
+//! * [`drive`] backs the `stream` / `stream_rows` methods: cells are
+//!   pulled lazily via [`ScenarioGrid::cell_at`](crate::ScenarioGrid::cell_at),
+//!   evaluated on a bounded window of worker threads, rendered to row
+//!   strings and handed to a [`RowSink`](corridor_core::sink::RowSink) in
+//!   grid order. Peak memory is `O(workers × chunk)` whatever the grid
+//!   size, and the emitted bytes are identical to the in-memory writers'
+//!   — the contract the streaming-equivalence tests pin with SHA-256
+//!   digests.
+//! * [`collect`] backs the `run` methods: the same lazy pull and ordered
+//!   hand-off, but into a `Vec` with an unbounded window, since the
+//!   in-memory report ([`SweepReport`](crate::SweepReport),
+//!   [`McReport`](crate::McReport), [`OptimizeReport`](crate::OptimizeReport),
+//!   …) holds every result anyway.
+//!
+//! `workers(1)` runs either driver on the calling thread.
 //!
 //! The optional [`ResultCache`](crate::ResultCache) short-circuits the
 //! evaluation of cells whose scenario hash already has a stored row
@@ -110,9 +116,8 @@ pub(crate) struct ChunkRows {
     pub(crate) cache_misses: u64,
 }
 
-/// Resolves an engine's worker setting for the streaming path: `Some(0)`
-/// is the usual misconfiguration error, `None` means machine
-/// parallelism (mirroring the pool builder's `num_threads(0)`).
+/// Resolves an engine's worker setting: `Some(0)` is the usual
+/// misconfiguration error, `None` means machine parallelism.
 pub(crate) fn resolve_workers(workers: Option<usize>) -> Result<usize, ScenarioError> {
     match workers {
         Some(0) => Err(ScenarioError::ZeroWorkers),
@@ -159,6 +164,30 @@ where
         },
     )?;
     Ok(summary)
+}
+
+/// Evaluates `items` on `workers` threads and collects the results in
+/// item order, stopping at the first `Err` in that order.
+///
+/// The window is unbounded: the caller keeps every result, so holding
+/// finished items back would only idle a worker behind a slow one.
+pub(crate) fn collect<I, T, R, E>(
+    workers: usize,
+    items: I,
+    compute: impl Fn(T) -> Result<R, E> + Sync,
+) -> Result<Vec<R>, E>
+where
+    I: Iterator<Item = T> + Send,
+    T: Send,
+    R: Send,
+    E: Send,
+{
+    let mut out = Vec::new();
+    rayon::stream_ordered(items, workers, usize::MAX, compute, |result| {
+        out.push(result?);
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 /// Splits `range` into `chunk`-sized sub-ranges, lazily.

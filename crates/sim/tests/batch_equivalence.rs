@@ -32,7 +32,7 @@ fn assert_same_bits(label: &str, batched: &SegmentEnergy, scalar: &SegmentEnergy
 fn screening_grid_batch_matches_scalar_bit_for_bit() {
     let grid = ScenarioGrid::screening_200();
     let engine = SweepEngine::new().workers(1).pv_sizing(false);
-    let batched = engine.run_serial(&grid).unwrap();
+    let batched = engine.run(&grid).unwrap();
     assert_eq!(batched.len(), 200);
     for result in batched.results() {
         let scalar = engine.evaluate(result.cell());
@@ -55,7 +55,7 @@ fn batch_matches_the_core_energy_functions() {
     let report = SweepEngine::new()
         .workers(1)
         .pv_sizing(false)
-        .run_serial(&grid)
+        .run(&grid)
         .unwrap();
     for result in report.results() {
         let cell = result.cell();
@@ -80,7 +80,7 @@ fn batch_matches_the_core_energy_functions() {
 fn parallel_batched_sweep_equals_serial() {
     let grid = ScenarioGrid::screening_200();
     let engine = SweepEngine::new().pv_sizing(false);
-    let serial = engine.run_serial(&grid).unwrap();
+    let serial = engine.workers(1).run(&grid).unwrap();
     for workers in [1usize, 2, 8] {
         let parallel = engine.workers(workers).run(&grid).unwrap();
         assert_eq!(serial.results(), parallel.results(), "workers = {workers}");
@@ -122,7 +122,7 @@ fn event_driven_blocks_match_per_cell_evaluation() {
         .workers(1)
         .pv_sizing(false)
         .evaluator(Evaluator::event_driven());
-    let report = engine.run_serial(&grid).unwrap();
+    let report = engine.run(&grid).unwrap();
     for result in report.results() {
         let scalar = engine.evaluate(result.cell());
         assert_eq!(result, &scalar);
@@ -138,7 +138,7 @@ fn batched_sweep_stays_finite_and_hardened() {
     let report = SweepEngine::new()
         .workers(1)
         .pv_sizing(false)
-        .run_serial(&grid)
+        .run(&grid)
         .unwrap();
     for result in report.results() {
         assert!(result.baseline().total().value().is_finite());

@@ -170,14 +170,8 @@ fn empty_and_disconnected_networks_are_typed_errors() {
     net.add_edge(CorridorEdge::between(a, b)).unwrap();
     net.add_station("island");
     net.add_station("atoll");
-    for run in [
-        NetworkOptimizer::new().workers(1).run(&net, &quick_space()),
-        NetworkOptimizer::new()
-            .workers(1)
-            .run_serial(&net, &quick_space()),
-    ] {
-        assert!(matches!(run.unwrap_err(), NetworkError::Disconnected(2)));
-    }
+    let run = NetworkOptimizer::new().workers(1).run(&net, &quick_space());
+    assert!(matches!(run.unwrap_err(), NetworkError::Disconnected(2)));
     let mut sink = StringSink::with_capacity(64);
     let err = NetworkOptimizer::new()
         .workers(1)
@@ -218,7 +212,7 @@ proptest! {
         // a reduced space keeps the 64-case sweep quick; 0 vs 10 nodes
         // still exercises the conventional/deployed split
         let space = quick_space().node_counts(vec![0, 10]);
-        let serial = NetworkOptimizer::new().workers(1).run_serial(&net, &space).unwrap();
+        let serial = NetworkOptimizer::new().workers(1).run(&net, &space).unwrap();
         let parallel = NetworkOptimizer::new().workers(workers).run(&net, &space).unwrap();
         prop_assert_eq!(serial.results(), parallel.results());
         prop_assert_eq!(serial.plan(), parallel.plan());

@@ -64,7 +64,7 @@ proptest! {
             .repeater_nodes(nodes)
             .unwrap();
         let engine = SweepEngine::new().pv_sizing(false);
-        let serial = engine.run_serial(&grid).unwrap();
+        let serial = engine.workers(1).run(&grid).unwrap();
         let parallel = engine.workers(workers).run(&grid).unwrap();
         prop_assert_eq!(serial.results(), parallel.results());
         prop_assert_eq!(serial.to_csv(), parallel.to_csv());

@@ -5,11 +5,14 @@
 //! (chunking, reorder window, cache short-circuit, emitter separators)
 //! breaks the comparison or the pin, never silently.
 
+use std::collections::BTreeSet;
+
 use corridor_core::hash::sha256_hex;
 use corridor_core::sink::{DigestSink, RowFormat, StringSink};
+use corridor_core::ScenarioError;
 use corridor_sim::{
     DeploymentOptimizer, McEngine, ReplicationPlan, ScenarioGrid, SearchSpace, StreamError,
-    SweepEngine,
+    StreamSummary, SweepEngine,
 };
 use corridor_solar::climate;
 
@@ -161,4 +164,117 @@ fn consumer_error_cancels_stream() {
     );
     assert!(matches!(result, Err(StreamError::Sink(_))));
     assert_eq!(emitted, 3);
+}
+
+/// A grid whose first `2 × isds` cells are valid and whose remaining
+/// cells have a zero LP spacing (the outermost axis that varies here),
+/// paired with the grid of just the valid cells.
+fn grids_with_invalid_tail(isds: usize) -> (ScenarioGrid, ScenarioGrid) {
+    let base = ScenarioGrid::new()
+        .conventional_isds_m((0..isds).map(|i| 400.0 + 25.0 * i as f64).collect())
+        .locations(vec![climate::madrid(), climate::berlin()]);
+    (
+        base.clone().lp_spacings_m(vec![200.0, 0.0]),
+        base.lp_spacings_m(vec![200.0]),
+    )
+}
+
+/// A stream over a grid with an invalid tail must fail with the cell's
+/// own error after emitting the rows of exactly `cells` valid cells,
+/// unchanged. Every emitted line after the header starts with its cell
+/// index (an optimizer cell may span several CSV lines).
+fn assert_valid_prefix_then_error(
+    result: Result<StreamSummary, StreamError>,
+    emitted: &str,
+    valid: &str,
+    cells: usize,
+    what: &str,
+) {
+    assert!(
+        matches!(
+            result,
+            Err(StreamError::Scenario(ScenarioError::NonPositiveSpacing))
+        ),
+        "{what}: {result:?}"
+    );
+    assert!(valid.starts_with(emitted), "{what}: {emitted:?}");
+    let emitted_cells: BTreeSet<&str> = emitted
+        .lines()
+        .skip(1)
+        .filter_map(|line| line.split(',').next())
+        .collect();
+    assert_eq!(emitted_cells.len(), cells, "{what}: {emitted:?}");
+}
+
+/// The first invalid cell in grid order decides the error of every
+/// engine at every worker count, although `run` builds its cells lazily
+/// on the workers; `stream` emits only valid rows before failing. The
+/// sweep streams 64-cell chunks, so its 66 valid cells end part-way into
+/// the failing second chunk and only the first chunk's rows come out.
+#[test]
+fn invalid_tail_cells_fail_in_grid_order() {
+    let (sweep_grid, sweep_valid) = grids_with_invalid_tail(33);
+    let (grid, valid) = grids_with_invalid_tail(1);
+    let plan = ReplicationPlan::new(3).master_seed(7);
+    let space = SearchSpace::new().node_counts((0..=6).collect());
+    for workers in [1usize, 2, 8] {
+        let sweep = SweepEngine::new().workers(workers).pv_sizing(false);
+        let mc = McEngine::new().workers(workers);
+        let optimizer = DeploymentOptimizer::new().workers(workers);
+        assert_eq!(
+            sweep.run(&sweep_grid).unwrap_err(),
+            ScenarioError::NonPositiveSpacing
+        );
+        assert_eq!(
+            mc.run(&grid, &plan).unwrap_err(),
+            ScenarioError::NonPositiveSpacing
+        );
+        assert_eq!(
+            optimizer.run(&grid, &space).unwrap_err(),
+            ScenarioError::NonPositiveSpacing
+        );
+        let sweep_report = sweep.run(&sweep_valid).unwrap();
+        let mc_report = mc.run(&valid, &plan).unwrap();
+        let optimize_report = optimizer.run(&valid, &space).unwrap();
+        for format in [RowFormat::Csv, RowFormat::Json] {
+            let what = format!("{format:?}, workers = {workers}");
+            let render = |csv: String, json: String| match format {
+                RowFormat::Csv => csv,
+                RowFormat::Json => json,
+            };
+
+            let mut sink = StringSink::new();
+            let result = sweep.stream(&sweep_grid, format, &mut sink);
+            let valid_rows = render(sweep_report.to_csv(), sweep_report.to_json());
+            assert_valid_prefix_then_error(
+                result,
+                &sink.into_string(),
+                &valid_rows,
+                64,
+                &format!("sweep {what}"),
+            );
+
+            let mut sink = StringSink::new();
+            let result = mc.stream(&grid, &plan, format, &mut sink);
+            let valid_rows = render(mc_report.to_csv(), mc_report.to_json());
+            assert_valid_prefix_then_error(
+                result,
+                &sink.into_string(),
+                &valid_rows,
+                2,
+                &format!("mc {what}"),
+            );
+
+            let mut sink = StringSink::new();
+            let result = optimizer.stream(&grid, &space, format, &mut sink);
+            let valid_rows = render(optimize_report.to_csv(), optimize_report.to_json());
+            assert_valid_prefix_then_error(
+                result,
+                &sink.into_string(),
+                &valid_rows,
+                2,
+                &format!("optimize {what}"),
+            );
+        }
+    }
 }
