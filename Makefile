@@ -58,7 +58,7 @@ network-smoke:
 	cargo test -q -p corridor_sim --test network
 
 # Network-day differential: the time-domain backend over the topology
-# (routed itineraries, junction-consistent days) and the Pollakis
+# (routed, junction-consistent days; SHA-pinned day rows) and the Pollakis
 # margin-trading scheduler — SHA-pinned reproduction of the boundary-only
 # schedule at `margin_floor = current margin`, interior-sleep wins under
 # a relaxed floor, and floor properties over random topologies.

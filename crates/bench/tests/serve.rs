@@ -197,3 +197,41 @@ fn bad_requests_get_error_lines_not_crashes() {
         "a bad request must not open a stream: {stdout}"
     );
 }
+
+/// Exit status of `bin --grid name --help`: `--help` stops the CLI right
+/// after the grid parsed, so nothing runs.
+fn cli_parses_grid(bin: &str, name: &str) -> bool {
+    Command::new(bin)
+        .args(["--grid", name, "--help"])
+        .output()
+        .expect("spawn CLI")
+        .status
+        .success()
+}
+
+#[test]
+fn serve_grid_names_parse_in_the_mc_and_optimize_clis() {
+    let names: Vec<&str> = (ScenarioGrid::NAMES.into_iter())
+        .chain(["smoke3", "screening200"])
+        .collect();
+    let requests: String = names
+        .iter()
+        .map(|name| format!("sweep grid={name} format=csv shards=1\n"))
+        .collect();
+    let (stdout, _) = serve(&requests, &[]);
+    let clis = [env!("CARGO_BIN_EXE_mc"), env!("CARGO_BIN_EXE_optimize")];
+    for name in &names {
+        let cells = ScenarioGrid::by_name(name).unwrap().len();
+        let begin = format!("BEGIN sweep grid={name} format=csv cells={cells} shards=1\n");
+        assert!(stdout.contains(&begin), "serve rejected grid {name}");
+        for cli in clis {
+            assert!(cli_parses_grid(cli, name), "{cli} rejects --grid {name}");
+        }
+    }
+    for cli in clis {
+        assert!(
+            !cli_parses_grid(cli, "nope"),
+            "{cli} accepts an unknown grid"
+        );
+    }
+}

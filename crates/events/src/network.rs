@@ -197,71 +197,89 @@ impl NetworkDaySimulator {
     }
 
     /// Splits the itineraries into `edge`'s pass lists: `(up, down)`
-    /// passes in segment-local time. A forward leg enters the
-    /// representative segment the moment it enters the edge; a reversed
-    /// leg first crosses the rest of the edge, so its local origin is
-    /// delayed by `(length − isd) / v`.
+    /// passes in segment-local time, each itinerary walked by
+    /// [`NetworkDaySimulator::push_edge_passes`].
     pub fn edge_passes(
         &self,
         edge: usize,
         itineraries: &[TrainItinerary],
     ) -> (Vec<TrainPass>, Vec<TrainPass>) {
-        let geo = &self.edges[edge];
         let mut up = Vec::new();
         let mut down = Vec::new();
         for it in itineraries {
-            let mut clock = it.departure;
-            for leg in &it.legs {
-                let length = self.edges[leg.edge].length;
-                if leg.edge == edge {
-                    if leg.reversed {
-                        let lead = (length - geo.isd) / it.train.speed();
-                        down.push(TrainPass::new(it.train, clock + lead));
-                    } else {
-                        up.push(TrainPass::new(it.train, clock));
-                    }
-                }
-                clock += length / it.train.speed();
-            }
+            self.push_edge_passes(edge, it.train, it.departure, &it.legs, &mut up, &mut down);
         }
         (up, down)
     }
 
-    /// Simulates one edge's day: the representative segment against the
-    /// itineraries' up/down passes, through the per-corridor event
-    /// engine (the same per-node event loops, over this edge's
-    /// geometry).
-    pub fn simulate_edge(&self, edge: usize, itineraries: &[TrainItinerary]) -> SimReport {
+    /// Walks one train run over `legs` from `departure`, appending each
+    /// traversal of `edge` to `up` (forward legs) or `down` (reversed
+    /// legs) in segment-local time. The clock advances by `length / v`
+    /// per leg. A forward leg enters the representative segment the
+    /// moment it enters the edge; a reversed leg first crosses the rest
+    /// of the edge, so its local origin is delayed by `(length − isd) / v`.
+    pub fn push_edge_passes(
+        &self,
+        edge: usize,
+        train: Train,
+        departure: Seconds,
+        legs: &[Leg],
+        up: &mut Vec<TrainPass>,
+        down: &mut Vec<TrainPass>,
+    ) {
         let geo = &self.edges[edge];
-        let (up, down) = self.edge_passes(edge, itineraries);
-        self.simulator
-            .simulate_double_track(&geo.nodes, &up, &down, geo.isd)
+        let mut clock = departure;
+        for leg in legs {
+            let length = self.edges[leg.edge].length;
+            if leg.edge == edge {
+                if leg.reversed {
+                    let lead = (length - geo.isd) / train.speed();
+                    down.push(TrainPass::new(train, clock + lead));
+                } else {
+                    up.push(TrainPass::new(train, clock));
+                }
+            }
+            clock += length / train.speed();
+        }
     }
 
-    /// Simulates every edge's day, in edge order.
+    /// Simulates one edge's day: the representative segment against its
+    /// `up`/`down` passes (see [`NetworkDaySimulator::edge_passes`]),
+    /// through the per-corridor event engine (the same per-node event
+    /// loops, over this edge's geometry).
+    pub fn simulate_edge(&self, edge: usize, up: &[TrainPass], down: &[TrainPass]) -> SimReport {
+        let geo = &self.edges[edge];
+        self.simulator
+            .simulate_double_track(&geo.nodes, up, down, geo.isd)
+    }
+
+    /// Simulates every edge's day of the itineraries, in edge order.
     pub fn simulate(&self, itineraries: &[TrainItinerary]) -> Vec<SimReport> {
         (0..self.edges.len())
-            .map(|edge| self.simulate_edge(edge, itineraries))
+            .map(|edge| {
+                let (up, down) = self.edge_passes(edge, itineraries);
+                self.simulate_edge(edge, &up, &down)
+            })
             .collect()
     }
 
     /// Powered hours of an ad-hoc `section` of `edge`'s representative
-    /// segment under the day — the time-domain price the scheduler uses
-    /// to re-check absorbed demand instead of trusting static edge
-    /// demand. The section runs as a single extra repeater against the
-    /// same passes.
+    /// segment under the day's `up`/`down` passes — the time-domain
+    /// price the scheduler uses to re-check absorbed demand instead of
+    /// trusting static edge demand. The section runs as a single extra
+    /// repeater against the same passes.
     pub fn section_powered_hours(
         &self,
         edge: usize,
         section: TrackSection,
-        itineraries: &[TrainItinerary],
+        up: &[TrainPass],
+        down: &[TrainPass],
     ) -> Hours {
         let geo = &self.edges[edge];
         let probe = [NodeSpec::new(NodeKind::ServiceRepeater, section)];
-        let (up, down) = self.edge_passes(edge, itineraries);
         let report = self
             .simulator
-            .simulate_double_track(&probe, &up, &down, geo.isd);
+            .simulate_double_track(&probe, up, down, geo.isd);
         report.nodes()[0].trace().powered().hours()
     }
 }
@@ -343,7 +361,7 @@ mod tests {
                 TrainItinerary::new(train, t, vec![leg])
             })
             .collect();
-        let report = net.simulate_edge(0, &runs);
+        let report = &net.simulate(&runs)[0];
         let (up, down) = net.edge_passes(0, &runs);
         let nodes = segment_nodes(10, Meters::new(2650.0), Meters::new(200.0));
         let direct =
@@ -388,15 +406,18 @@ mod tests {
                 )
             })
             .collect();
+        let (up, down) = net.edge_passes(0, &runs);
         let narrow = net.section_powered_hours(
             0,
             TrackSection::around(Meters::new(1325.0), Meters::new(200.0)),
-            &runs,
+            &up,
+            &down,
         );
         let wide = net.section_powered_hours(
             0,
             TrackSection::around(Meters::new(1325.0), Meters::new(600.0)),
-            &runs,
+            &up,
+            &down,
         );
         assert!(narrow.value() > 0.0);
         assert!(wide > narrow, "wider sections stay powered longer");

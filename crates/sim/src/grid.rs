@@ -353,19 +353,23 @@ impl ScenarioGrid {
         (0..self.len()).map(|index| self.cell_at(index)).collect()
     }
 
-    /// Resolves the grid names shared by the CLI binaries and the serve
-    /// protocol's `grid=` parameter; `None` for an unknown name.
+    /// The grid names [`ScenarioGrid::by_name`] resolves, smallest
+    /// first; `smoke3` and `screening200` are accepted as aliases.
+    pub const NAMES: [&'static str; 4] = ["paper", "smoke-3", "mixed-8", "screening-200"];
+
+    /// Resolves the grid names shared by the CLI binaries' `--grid` and
+    /// the serve protocol's `grid=` parameter; `None` for an unknown name.
     pub fn by_name(name: &str) -> Option<ScenarioGrid> {
         match name {
             "paper" => Some(ScenarioGrid::new()),
-            "smoke-3" => Some(ScenarioGrid::smoke_3()),
+            "smoke-3" | "smoke3" => Some(ScenarioGrid::smoke_3()),
             "mixed-8" => Some(
                 ScenarioGrid::new()
                     .trains_per_hour(vec![4.0, 8.0])
                     .train_speeds_kmh(vec![160.0, 200.0])
                     .locations(vec![climate::madrid(), climate::berlin()]),
             ),
-            "screening-200" => Some(ScenarioGrid::screening_200()),
+            "screening-200" | "screening200" => Some(ScenarioGrid::screening_200()),
             _ => None,
         }
     }
@@ -521,6 +525,12 @@ mod tests {
         assert_eq!(ScenarioGrid::by_name("mixed-8").unwrap().len(), 8);
         assert_eq!(ScenarioGrid::by_name("screening-200").unwrap().len(), 200);
         assert!(ScenarioGrid::by_name("nope").is_none());
+        for name in ScenarioGrid::NAMES {
+            assert!(ScenarioGrid::by_name(name).is_some(), "{name}");
+        }
+        for (alias, name) in [("smoke3", "smoke-3"), ("screening200", "screening-200")] {
+            assert_eq!(ScenarioGrid::by_name(alias), ScenarioGrid::by_name(name));
+        }
     }
 
     #[test]

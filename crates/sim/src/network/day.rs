@@ -1,13 +1,16 @@
-//! The stochastic network day: route decomposition, shared itineraries
-//! and the Monte-Carlo time-domain engine over the graph.
+//! The stochastic network day: route decomposition, per-edge pass
+//! sampling and the Monte-Carlo time-domain engine over the graph.
 //!
 //! The per-edge Pareto search prices each corridor analytically at its
 //! static demand. This module is the network's time-domain counterpart:
 //! the edge demands are decomposed into **routes** (train paths that
-//! cross junctions), each route samples Poisson departures into
-//! [`TrainItinerary`]s, and every edge's day is replayed through the
+//! cross junctions), each route samples seeded Poisson departures per
+//! replication, and every edge's day is replayed through the
 //! [`NetworkDaySimulator`] — so adjacent edges see the *same* trains at
 //! junction-consistent times instead of independently sampled traffic.
+//! An edge-day draws only the routes that traverse its edge: a route's
+//! departures depend on `(seed, route, rep)` alone, so they are the same
+//! trains every other edge of the route sees.
 //!
 //! The decomposition is a deterministic greedy flow split: seed at the
 //! edge with the highest remaining demand, extend the path through
@@ -19,8 +22,8 @@
 use corridor_core::sink::{RowFormat, RowSink, SinkResult, StringSink};
 use corridor_core::stats::Welford;
 use corridor_core::{EnergyStrategy, ScenarioError};
-use corridor_events::{EventDrivenEvaluator, Leg, NetworkDaySimulator, SimReport, TrainItinerary};
-use corridor_traffic::{PoissonTimetable, SeedSequence, Train};
+use corridor_events::{EventDrivenEvaluator, Leg, NetworkDaySimulator, SimReport};
+use corridor_traffic::{PoissonTimetable, SeedSequence, Train, TrainPass};
 use corridor_units::{Hours, KilometersPerHour, Meters};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,6 +48,8 @@ mean_wh_day,ci95_wh_day,mean_passes,mean_wakes";
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainRoute {
     legs: Vec<Leg>,
+    /// The legs of the opposite run: reversed, each flipped.
+    back: Vec<Leg>,
     rate_tph: f64,
     train: Train,
 }
@@ -68,22 +73,6 @@ impl TrainRoute {
     /// True if any leg traverses `edge`.
     pub fn traverses(&self, edge: usize) -> bool {
         self.legs.iter().any(|l| l.edge() == edge)
-    }
-
-    /// The route run in the opposite direction: legs reversed, each
-    /// flipped.
-    fn reversed(&self) -> Vec<Leg> {
-        self.legs
-            .iter()
-            .rev()
-            .map(|l| {
-                if l.is_reversed() {
-                    Leg::forward(l.edge())
-                } else {
-                    Leg::reverse(l.edge())
-                }
-            })
-            .collect()
     }
 }
 
@@ -171,8 +160,18 @@ pub(crate) fn decompose_routes(net: &CorridorNetwork) -> Vec<TrainRoute> {
             Meters::new(first.train_len_m()),
             KilometersPerHour::new(first.speed_kmh()).meters_per_second(),
         );
+        let back = (legs.iter().rev())
+            .map(|l| {
+                if l.is_reversed() {
+                    Leg::forward(l.edge())
+                } else {
+                    Leg::reverse(l.edge())
+                }
+            })
+            .collect();
         routes.push(TrainRoute {
             legs,
+            back,
             rate_tph: rate,
             train,
         });
@@ -180,33 +179,59 @@ pub(crate) fn decompose_routes(net: &CorridorNetwork) -> Vec<TrainRoute> {
     routes
 }
 
-/// Samples one replication of the network day: Poisson departures per
-/// route over the shared service window, each arrival alternating the
-/// route's direction, seeded by `SeedSequence(seed).derive(route, rep)`
-/// so every `(route, rep)` stream is independent and reproducible.
-pub(crate) fn sample_itineraries(
+/// One edge's `(up, down)` passes in segment-local time.
+pub(crate) type EdgePasses = (Vec<TrainPass>, Vec<TrainPass>);
+
+/// Route `r`'s Poisson departures in replication `rep` over the shared
+/// service window, seeded by `SeedSequence(seed).derive(r, rep)` so
+/// every `(route, rep)` stream is independent and reproducible.
+fn route_departures(
     net: &CorridorNetwork,
-    routes: &[TrainRoute],
+    route: &TrainRoute,
+    r: usize,
     seed: u64,
     rep: u64,
-) -> Vec<TrainItinerary> {
-    let seq = SeedSequence::new(seed);
+) -> Vec<TrainPass> {
+    let mut rng = StdRng::seed_from_u64(SeedSequence::new(seed).derive(r as u64, rep));
     let start = PoissonTimetable::paper_rate().service_start();
     let window = Hours::new(net.shared_window_h());
-    let mut itineraries = Vec::new();
-    for (r, route) in routes.iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(seq.derive(r as u64, rep));
-        let timetable = PoissonTimetable::new(route.rate_tph, window, start, route.train);
-        for (i, pass) in timetable.sample_passes(&mut rng).iter().enumerate() {
-            let legs = if i % 2 == 0 {
-                route.legs.clone()
-            } else {
-                route.reversed()
-            };
-            itineraries.push(TrainItinerary::new(route.train, pass.origin_time(), legs));
+    PoissonTimetable::new(route.rate_tph, window, start, route.train).sample_passes(&mut rng)
+}
+
+/// Samples edge `e`'s day of replication `rep` into `passes` (cleared
+/// first), ordered by origin time. Only the routes that traverse `e`
+/// are drawn; each departure runs the route in alternating directions
+/// (forward first), walked by
+/// [`NetworkDaySimulator::push_edge_passes`]. Each route's passes are
+/// already in time order, so the stable sorts merge a few sorted runs.
+pub(crate) fn sample_edge_passes(
+    net: &CorridorNetwork,
+    sim: &NetworkDaySimulator,
+    routes: &[TrainRoute],
+    e: usize,
+    seed: u64,
+    rep: u64,
+    passes: &mut EdgePasses,
+) {
+    let (up, down) = passes;
+    up.clear();
+    down.clear();
+    for (r, route) in routes
+        .iter()
+        .enumerate()
+        .filter(|(_, route)| route.traverses(e))
+    {
+        for (i, pass) in route_departures(net, route, r, seed, rep)
+            .iter()
+            .enumerate()
+        {
+            let legs = if i % 2 == 0 { &route.legs } else { &route.back };
+            sim.push_edge_passes(e, route.train, pass.origin_time(), legs, up, down);
         }
     }
-    itineraries
+    for list in [up, down] {
+        list.sort_by(|a, b| a.origin_time().value().total_cmp(&b.origin_time().value()));
+    }
 }
 
 /// Builds the network-day simulator over the per-edge picks: pick
@@ -233,11 +258,11 @@ pub(crate) fn build_day_simulator(
 }
 
 /// The representative simulated day the margin-trading scheduler prices
-/// interior sleeps against: the replication-0 itineraries and every
-/// edge's simulated report.
+/// interior sleeps against: every edge's replication-0 passes and
+/// simulated report.
 pub(crate) struct DayContext {
     pub(crate) sim: NetworkDaySimulator,
-    pub(crate) itineraries: Vec<TrainItinerary>,
+    pub(crate) passes: Vec<EdgePasses>,
     pub(crate) reports: Vec<SimReport>,
 }
 
@@ -249,11 +274,16 @@ pub(crate) fn build_day_context(
 ) -> DayContext {
     let routes = decompose_routes(net);
     let sim = build_day_simulator(net, picks);
-    let itineraries = sample_itineraries(net, &routes, seed, 0);
-    let reports = sim.simulate(&itineraries);
+    let mut passes = vec![EdgePasses::default(); net.edge_count()];
+    for (e, day) in passes.iter_mut().enumerate() {
+        sample_edge_passes(net, &sim, &routes, e, seed, 0, day);
+    }
+    let reports = (passes.iter().enumerate())
+        .map(|(e, (up, down))| sim.simulate_edge(e, up, down))
+        .collect();
     DayContext {
         sim,
-        itineraries,
+        passes,
         reports,
     }
 }
@@ -354,10 +384,17 @@ impl NetworkDayEngine {
             self.edge_stats(net, &routes, &sim, &picks, e)
         })
         .map_err(NetworkError::Scenario)?;
+        // every departure of a route crosses a station between each
+        // pair of its legs
         let mut crossings = Welford::new();
-        for rep in 0..self.reps {
-            let itineraries = sample_itineraries(net, &routes, self.seed, rep as u64);
-            crossings.push(TrainItinerary::crossings(&itineraries) as f64);
+        for rep in 0..self.reps as u64 {
+            let crossed: usize = (routes.iter().enumerate())
+                .filter(|(_, route)| route.legs.len() > 1)
+                .map(|(r, route)| {
+                    route_departures(net, route, r, self.seed, rep).len() * (route.legs.len() - 1)
+                })
+                .sum();
+            crossings.push(crossed as f64);
         }
         Ok(NetworkDayReport {
             network: net.clone(),
@@ -459,9 +496,10 @@ impl NetworkDayEngine {
         let mut energy = Welford::new();
         let mut passes = Welford::new();
         let mut wakes = Welford::new();
-        for rep in 0..self.reps {
-            let itineraries = sample_itineraries(net, routes, self.seed, rep as u64);
-            let report = sim.simulate_edge(e, &itineraries);
+        let mut day = EdgePasses::default();
+        for rep in 0..self.reps as u64 {
+            sample_edge_passes(net, sim, routes, e, self.seed, rep, &mut day);
+            let report = sim.simulate_edge(e, &day.0, &day.1);
             let split = EventDrivenEvaluator::power_from_report(
                 params,
                 n,
@@ -628,9 +666,178 @@ impl NetworkDayReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corridor_events::TrainItinerary;
 
     fn quick_space() -> SearchSpace {
         SearchSpace::new().sample_step(Meters::new(10.0))
+    }
+
+    /// Reference sampler: every route's itineraries of one replication,
+    /// each departure alternating the route's direction (the whole-network
+    /// sampling every edge-day used before the per-edge sampler).
+    fn sample_itineraries(
+        net: &CorridorNetwork,
+        routes: &[TrainRoute],
+        seed: u64,
+        rep: u64,
+    ) -> Vec<TrainItinerary> {
+        let seq = SeedSequence::new(seed);
+        let start = PoissonTimetable::paper_rate().service_start();
+        let window = Hours::new(net.shared_window_h());
+        let mut itineraries = Vec::new();
+        for (r, route) in routes.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(seq.derive(r as u64, rep));
+            let timetable = PoissonTimetable::new(route.rate_tph, window, start, route.train);
+            for (i, pass) in timetable.sample_passes(&mut rng).iter().enumerate() {
+                let legs = if i % 2 == 0 {
+                    route.legs.clone()
+                } else {
+                    reversed_legs(route)
+                };
+                itineraries.push(TrainItinerary::new(route.train, pass.origin_time(), legs));
+            }
+        }
+        itineraries
+    }
+
+    /// Reference reversal: the route's legs reversed, each flipped.
+    fn reversed_legs(route: &TrainRoute) -> Vec<Leg> {
+        route
+            .legs
+            .iter()
+            .rev()
+            .map(|l| {
+                if l.is_reversed() {
+                    Leg::forward(l.edge())
+                } else {
+                    Leg::reverse(l.edge())
+                }
+            })
+            .collect()
+    }
+
+    /// Reference split of itineraries into `edge`'s `(up, down)` passes,
+    /// with the edge lengths and ISDs the day simulator was built from.
+    fn edge_passes(
+        net: &CorridorNetwork,
+        sim: &NetworkDaySimulator,
+        edge: usize,
+        itineraries: &[TrainItinerary],
+    ) -> EdgePasses {
+        let length = |e: usize| Meters::new(net.edge(e).length_km_value() * 1000.0);
+        let mut up = Vec::new();
+        let mut down = Vec::new();
+        for it in itineraries {
+            let mut clock = it.departure();
+            for leg in it.legs() {
+                let length = length(leg.edge());
+                if leg.edge() == edge {
+                    if leg.is_reversed() {
+                        let lead = (length - sim.edge_isd(edge)) / it.train().speed();
+                        down.push(TrainPass::new(it.train(), clock + lead));
+                    } else {
+                        up.push(TrainPass::new(it.train(), clock));
+                    }
+                }
+                clock += length / it.train().speed();
+            }
+        }
+        (up, down)
+    }
+
+    /// A pass list in a canonical order, for multiset comparison.
+    fn canonical(passes: &[TrainPass]) -> Vec<(u64, u64, u64)> {
+        let mut bits: Vec<_> = passes
+            .iter()
+            .map(|p| {
+                (
+                    p.origin_time().value().to_bits(),
+                    p.train().speed().value().to_bits(),
+                    p.train().length().value().to_bits(),
+                )
+            })
+            .collect();
+        bits.sort_unstable();
+        bits
+    }
+
+    /// Every float of a report as bits, plus its counts.
+    fn report_bits(report: &SimReport) -> Vec<u64> {
+        let mut bits = vec![
+            report.horizon().value().to_bits(),
+            report.events_processed() as u64,
+            report.passes() as u64,
+        ];
+        for node in report.nodes() {
+            let (s, t) = (node.section(), node.trace());
+            bits.extend(
+                [s.start(), s.end()]
+                    .map(|m| m.value().to_bits())
+                    .into_iter()
+                    .chain(
+                        [
+                            t.asleep(),
+                            t.waking(),
+                            t.active(),
+                            t.drain(),
+                            t.powered(),
+                            t.uncovered(),
+                        ]
+                        .map(|x| x.value().to_bits()),
+                    ),
+            );
+            bits.push(t.wakes() as u64);
+        }
+        bits
+    }
+
+    #[test]
+    fn edge_sampler_matches_the_whole_network_reference() {
+        let mut nets: Vec<CorridorNetwork> = ["line3", "wye3", "star4", "cycle4"]
+            .iter()
+            .map(|name| CorridorNetwork::by_name(name).unwrap())
+            .collect();
+        // the line/star/cycle families of the network proptests
+        let tph = [2.0, 4.0, 8.0, 12.0];
+        for n_edges in 1..=4 {
+            let demands: Vec<f64> = tph.iter().copied().cycle().take(n_edges).collect();
+            let ring: Vec<f64> = tph.iter().copied().cycle().take(n_edges.max(3)).collect();
+            nets.push(CorridorNetwork::line(&demands));
+            nets.push(CorridorNetwork::star(&demands));
+            nets.push(CorridorNetwork::cycle(&ring));
+        }
+        let space = quick_space().node_counts(vec![0, 10]);
+        for net in &nets {
+            let picks = NetworkOptimizer::new().workers(1).run(net, &space).unwrap();
+            let sim = build_day_simulator(net, picks.picks());
+            let routes = decompose_routes(net);
+            let mut day = EdgePasses::default();
+            for (seed, rep) in [(42, 0), (42, 1), (42, 2), (7, 0), (7, 5)] {
+                let itineraries = sample_itineraries(net, &routes, seed, rep);
+                for e in 0..net.edge_count() {
+                    let (up, down) = edge_passes(net, &sim, e, &itineraries);
+                    sample_edge_passes(net, &sim, &routes, e, seed, rep, &mut day);
+                    assert_eq!(canonical(&day.0), canonical(&up), "edge {e} up");
+                    assert_eq!(canonical(&day.1), canonical(&down), "edge {e} down");
+                    for list in [&day.0, &day.1] {
+                        assert!(list
+                            .windows(2)
+                            .all(|w| w[0].origin_time() <= w[1].origin_time()));
+                    }
+                    assert_eq!(
+                        report_bits(&sim.simulate_edge(e, &day.0, &day.1)),
+                        report_bits(&sim.simulate_edge(e, &up, &down)),
+                        "edge {e}, seed {seed}, rep {rep}"
+                    );
+                }
+                let crossed: usize = (routes.iter().enumerate())
+                    .map(|(r, route)| {
+                        route_departures(net, route, r, seed, rep).len() * (route.legs.len() - 1)
+                    })
+                    .sum();
+                assert_eq!(crossed, TrainItinerary::crossings(&itineraries));
+            }
+        }
     }
 
     #[test]
@@ -674,13 +881,18 @@ mod tests {
     fn itinerary_sampling_is_deterministic_per_seed_and_rep() {
         let net = CorridorNetwork::by_name("wye3").unwrap();
         let routes = decompose_routes(&net);
-        let a = sample_itineraries(&net, &routes, 42, 0);
-        let b = sample_itineraries(&net, &routes, 42, 0);
-        assert_eq!(a, b);
-        let c = sample_itineraries(&net, &routes, 42, 1);
-        assert_ne!(a, c, "replications must draw distinct days");
-        let d = sample_itineraries(&net, &routes, 7, 0);
-        assert_ne!(a, d, "seeds must draw distinct days");
+        let sim = build_day_simulator(&net, &[None, None, None]);
+        let day = |e: usize, seed: u64, rep: u64| {
+            let mut passes = EdgePasses::default();
+            sample_edge_passes(&net, &sim, &routes, e, seed, rep, &mut passes);
+            passes
+        };
+        for e in 0..net.edge_count() {
+            let a = day(e, 42, 0);
+            assert_eq!(a, day(e, 42, 0));
+            assert_ne!(a, day(e, 42, 1), "replications must draw distinct days");
+            assert_ne!(a, day(e, 7, 0), "seeds must draw distinct days");
+        }
     }
 
     #[test]

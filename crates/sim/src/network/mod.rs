@@ -12,8 +12,8 @@
 //! interior repeaters join the candidate set, trading coverage margin
 //! for energy against the simulated network day. The
 //! [`NetworkDayEngine`] runs that day end to end: edge demands
-//! decompose into junction-crossing train routes, Poisson itineraries
-//! drive every edge's event stream through
+//! decompose into junction-crossing train routes, whose seeded Poisson
+//! departures drive every edge's event stream through
 //! [`NetworkDaySimulator`](corridor_events::NetworkDaySimulator), and
 //! per-edge Monte-Carlo statistics stream out byte-identically whatever
 //! the worker count. The per-edge frontier renderings are

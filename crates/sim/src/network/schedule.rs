@@ -196,7 +196,8 @@ fn interior_edges(
             let slept_hours = report.nodes()[1 + k].trace().powered().hours();
             let own_hours = report.nodes()[k].trace().powered().hours();
             let hull = TrackSection::new(nodes[k].section().start(), nodes[1 + k].section().end());
-            let hull_hours = day.sim.section_powered_hours(e, hull, &day.itineraries);
+            let (up, down) = &day.passes[e];
+            let hull_hours = day.sim.section_powered_hours(e, hull, up, down);
             let energy = |hours: Hours| {
                 DutyCycle::over_day(hours, Hours::ZERO)
                     .daily_energy(params.lp_node())

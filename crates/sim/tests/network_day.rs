@@ -292,3 +292,49 @@ proptest! {
         }
     }
 }
+
+/// Pinned day rows of three named networks at seed 11, 4 reps, 2
+/// workers under `quick_space()`: sha256 of the CSV and of the JSON,
+/// and the bits of `crossings_per_day`. Captured while every edge-day
+/// still sampled the whole network's itineraries, so they pin the
+/// per-edge pass sampler to the same bytes.
+const DAY_PINS: [(&str, &str, &str, u64); 3] = [
+    (
+        "wye3",
+        "5706282d573720ae7358a23477f802bbdaf2c4698ef59d4fb682d006d51a493b",
+        "a598830e2f798bf47c154100fa8cc8beecffc7c6222192aadb721923fad659ea",
+        0x4072800000000000,
+    ),
+    (
+        "star4",
+        "d426b93ca1301bc95b13072eaa532cb4ba3f222445142f72a4dc115aa3fe9d1b",
+        "906db25c73037d8a952ee91845f2c5da904ae27dad3dbcfaf6af5514b249dd1b",
+        0x4070380000000000,
+    ),
+    (
+        "cycle4",
+        "78be3417ffde7692c0cfae5f932d0d431c7c4b8c8851659b01831874a682c7cf",
+        "c050fb6bc975d6671e318ff5bb3091e1ecf7207a7653ccf4cf8c94a6a6a5870b",
+        0x4071f80000000000,
+    ),
+];
+
+#[test]
+fn day_rows_match_the_pins() {
+    for (name, csv, json, crossings) in DAY_PINS {
+        let net = CorridorNetwork::by_name(name).unwrap();
+        let report = NetworkDayEngine::new()
+            .workers(2)
+            .reps(4)
+            .seed(11)
+            .run(&net, &quick_space())
+            .unwrap();
+        assert_eq!(sha256_hex(report.to_csv().as_bytes()), csv, "{name} CSV");
+        assert_eq!(sha256_hex(report.to_json().as_bytes()), json, "{name} JSON");
+        assert_eq!(
+            report.crossings_per_day().to_bits(),
+            crossings,
+            "{name} crossings"
+        );
+    }
+}
